@@ -9,15 +9,13 @@ from .channel import (MultiPanelChannel, PropagationPath, assemble_channel,
 from .codebook import (EstimationGrid, FullCodebook, SectorCodebook,
                        build_sector_codebook, default_full_codebook,
                        estimation_grid, full_codebook, resolution)
-from .csi import (EffectiveChannel, QuantizedPath, effective_channel,
-                  estimate_channel, quantize_paths)
+from .csi import quantize_paths
 from .errors import (CapacityError, ConfigurationError,
                      DimensionMismatchError, GuardRailError,
                      RankDeficiencyError, SimError, TraceParseError,
                      TraceReferenceError)
 from .metrics import (LinkReport, network_report, summarize, throughput)
-from .precoder import (GnbPrecoderState, dbf_precoder, hbf_precoder, rf_stage,
-                       zf_stage)
+from .precoder import GnbPrecoderState, rf_stage, zf_stage
 from .runner import (CampaignResult, desk_scale_config, emit, run_campaign)
 from .scenario import (Deployment, NetworkConfig, apply_overrides,
                        generate_deployment, load_config)

@@ -7,14 +7,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import metrics
 from .beamsweep import BeamPairLink, initial_association
 from .codebook import FullCodebook
-from .csi import EffectiveChannel
 from .errors import CapacityError, GuardRailError, RankDeficiencyError
 from .metrics import column_powers
 from .precoder import (GnbPrecoderState, compose, dbf_from_rows, rf_stage,
@@ -29,14 +28,6 @@ class AllocMode(str, Enum):
     ORACLE = "oracle"
     DBF_5GNR = "dbf"
     CBF_TDMA = "cbf-tdma"
-
-    @property
-    def uses_dbf(self) -> bool:
-        return self is AllocMode.DBF_5GNR
-
-
-MU_MIMO_MODES = (AllocMode.FIVEG_NR, AllocMode.DIABA, AllocMode.CIABA,
-                 AllocMode.ORACLE, AllocMode.DBF_5GNR)
 
 
 @dataclass
@@ -66,10 +57,9 @@ class AllocationInputs:
     n_gnbs: int
     n_ues: int
     sweeps: dict                     # ue -> sorted candidate list from beamsweep
-    true_row_fn: Callable            # (ue, gnb, ue_beam) -> row or None
-    est_row_fn: Callable             # same, against estimated channels
+    true_rows: dict                  # (ue, gnb) -> R = W_ue^H H, see metrics.Rows
+    est_rows: dict                   # same, against the estimated channels
     gnb_book: FullCodebook
-    ue_book: FullCodebook
 
 
 def build_candidates(ue: int, sweep_result: list, mode: AllocMode,
@@ -102,6 +92,29 @@ def build_candidates(ue: int, sweep_result: list, mode: AllocMode,
     return CandidateSet(ue=ue, bpls=pool)
 
 
+def gnb_precoder_state(inputs: AllocationInputs, gnb: int, ues: list,
+                       serving: dict, use_dbf: bool) -> GnbPrecoderState:
+    """Precoder of one gNB for its ordered served UEs (``serving`` maps each
+    to its BPL), designed on the estimated rows.
+
+    HBF fixes one RF column per UE to its serving beam and zero-forces the
+    effective channel w_c^H H_hat W_RF; DBF zero-forces the rows directly.
+    Raises CapacityError or RankDeficiencyError when the set is infeasible.
+    """
+    bpls = [serving[u] for u in ues]
+    est = [inputs.est_rows[(u, gnb)][b.ue_beam] for u, b in zip(ues, bpls)]
+    if use_dbf:
+        w_rf = w_bb = None
+        w = dbf_from_rows(np.vstack(est), ues)
+    else:
+        w_rf = rf_stage(bpls, inputs.gnb_book, inputs.cfg.n_rf_gnb_sec)
+        # one row @ w_rf product per UE: stacking first changes the bits
+        w_bb = zf_stage(np.vstack([row @ w_rf for row in est]), ues, w_rf)
+        w = compose(w_rf, w_bb)
+    return GnbPrecoderState(gnb=gnb, served=list(ues), w_rf=w_rf, w_bb=w_bb,
+                            w_combined=w, p_per_ue=inputs.cfg.p_max_w / len(ues))
+
+
 class _Engine:
     """Mutable allocation state with incremental SINR bookkeeping.
 
@@ -127,7 +140,6 @@ class _Engine:
         self._version = {g: 0 for g in range(inputs.n_gnbs)}
         self._inter_memo: dict = {}
         self._bound_memo: dict = {}
-        self.has_row_matrices = hasattr(inputs.true_row_fn, "rows")
 
     # -- capacity -------------------------------------------------------
 
@@ -143,39 +155,11 @@ class _Engine:
                        if int(book.panel[self.serving[u].gnb_beam]) == panel)
         return on_panel + 1 <= self.inputs.cfg.n_rf_gnb_sec
 
-    # -- precoder construction -------------------------------------------
-
-    def _est_row(self, ue: int, gnb: int, ue_beam: int) -> np.ndarray:
-        row = self.inputs.est_row_fn(ue, gnb, ue_beam)
-        if row is None:
-            row = np.zeros(4 * self.inputs.cfg.n_t, dtype=complex)
-        return row
-
-    def _true_row(self, ue: int, gnb: int, ue_beam: int) -> np.ndarray:
-        row = self.inputs.true_row_fn(ue, gnb, ue_beam)
-        if row is None:
-            row = np.zeros(4 * self.inputs.cfg.n_t, dtype=complex)
-        return row
-
-    def _build_state(self, gnb: int) -> GnbPrecoderState:
-        ues = self.per_gnb[gnb]
-        bpls = [self.serving[u] for u in ues]
-        if self.use_dbf:
-            rows = np.vstack([self._est_row(u, gnb, b.ue_beam)
-                              for u, b in zip(ues, bpls)])
-            w = dbf_from_rows(rows, ues)
-            return GnbPrecoderState(gnb=gnb, served=list(ues), w_rf=None,
-                                    w_bb=None, w_combined=w,
-                                    p_per_ue=self.p_max / len(ues))
-        w_rf = rf_stage(bpls, self.inputs.gnb_book, self.inputs.cfg.n_rf_gnb_sec)
-        eff = [EffectiveChannel(row=self._est_row(u, gnb, b.ue_beam) @ w_rf, ue=u)
-               for u, b in zip(ues, bpls)]
-        w_bb = zf_stage(eff, w_rf)
-        return GnbPrecoderState(gnb=gnb, served=list(ues), w_rf=w_rf,
-                                w_bb=w_bb, w_combined=compose(w_rf, w_bb),
-                                p_per_ue=self.p_max / len(ues))
-
     # -- incremental metric bookkeeping -----------------------------------
+
+    def _row(self, ue: int, gnb: int) -> np.ndarray:
+        """True combined row of this UE's serving UE beam toward ``gnb``."""
+        return self.inputs.true_rows[(ue, gnb)][self.serving[ue].ue_beam]
 
     def rebuild(self, gnb: int, update_others: bool) -> None:
         """Rebuild one gNB's precoder and refresh the powers it contributes.
@@ -190,10 +174,11 @@ class _Engine:
             for u in self.serving:
                 self.inter.get(u, {}).pop(gnb, None)
             return
-        state = self._build_state(gnb)  # may raise Capacity/RankDeficiency
+        # may raise Capacity/RankDeficiency
+        state = gnb_precoder_state(self.inputs, gnb, ues, self.serving,
+                                   self.use_dbf)
         self.states[gnb] = state
-        rows = np.vstack([self._true_row(u, gnb, self.serving[u].ue_beam)
-                          for u in ues])
+        rows = np.vstack([self._row(u, gnb) for u in ues])
         powers = state.p_per_ue * column_powers(rows, state.w_combined)
         sums = powers.sum(axis=1)
         for i, u in enumerate(ues):
@@ -203,57 +188,28 @@ class _Engine:
         if update_others:
             others = [u for u in self.serving if self.serving[u].gnb != gnb]
             if others:
-                rows_o = np.vstack([
-                    self._true_row(u, gnb, self.serving[u].ue_beam)
-                    for u in others])
+                rows_o = np.vstack([self._row(u, gnb) for u in others])
                 contrib = (state.p_per_ue *
                            column_powers(rows_o, state.w_combined)).sum(axis=1)
                 for u, c in zip(others, contrib):
                     self.inter.setdefault(u, {})[gnb] = float(c)
 
-    def inter_vec(self, ue: int, gnb: int) -> Optional[np.ndarray]:
-        """Interference one gNB's current precoder causes this UE, for every
-        UE beam at once (memoized per precoder version).
-
-        Requires the row provider to expose the per-beam row matrix; returns
-        None when the gNB is silent or the UE has no channel toward it.
-        """
-        state = self.states[gnb]
-        if state is None:
-            return None
+    def inter_vec(self, ue: int, gnb: int) -> np.ndarray:
+        """Interference the active gNB's current precoder causes this UE, for
+        every UE beam at once (memoized per precoder version)."""
         key = (ue, gnb, self._version[gnb])
         vec = self._inter_memo.get(key)
         if vec is None:
-            rows = self.inputs.true_row_fn.rows(ue, gnb)
-            if rows is None:
-                vec = 0.0
-            else:
-                vec = state.p_per_ue * column_powers(
-                    rows, state.w_combined).sum(axis=1)
+            state = self.states[gnb]
+            vec = state.p_per_ue * column_powers(
+                self.inputs.true_rows[(ue, gnb)], state.w_combined).sum(axis=1)
             self._inter_memo[key] = vec
-        return None if isinstance(vec, float) else vec
-
-    def _inter_from(self, ue: int, ue_beam: int, gnb: int) -> float:
-        """Interference one gNB's current precoder causes this UE (memoized)."""
-        if self.has_row_matrices:
-            vec = self.inter_vec(ue, gnb)
-            return 0.0 if vec is None else float(vec[ue_beam])
-        state = self.states[gnb]
-        if state is None:
-            return 0.0
-        key = (ue, ue_beam, gnb, self._version[gnb])
-        val = self._inter_memo.get(key)
-        if val is None:
-            row = self._true_row(ue, gnb, ue_beam)
-            val = float(state.p_per_ue *
-                        column_powers(row[None, :], state.w_combined).sum())
-            self._inter_memo[key] = val
-        return val
+        return vec
 
     def init_inter(self, ue: int) -> None:
         bpl = self.serving[ue]
         self.inter[ue] = {
-            g: self._inter_from(ue, bpl.ue_beam, g)
+            g: float(self.inter_vec(ue, g)[bpl.ue_beam])
             for g in range(self.inputs.n_gnbs)
             if g != bpl.gnb and self.states[g] is not None}
 
@@ -267,10 +223,8 @@ class _Engine:
         key = (ue, gnb, ue_beam)
         val = self._bound_memo.get(key)
         if val is None:
-            row = self.inputs.true_row_fn(ue, gnb, ue_beam)
-            norm2 = 0.0 if row is None else float(
-                np.real(np.vdot(row, row)))
-            val = self.p_max * norm2 / self.noise
+            row = self.inputs.true_rows[(ue, gnb)][ue_beam]
+            val = self.p_max * float(np.real(np.vdot(row, row))) / self.noise
             self._bound_memo[key] = val
         return val
 
@@ -418,7 +372,7 @@ def _enforce_coverage(engine: _Engine, inputs: AllocationInputs) -> None:
     while engine.serving:
         powers = metrics.evaluate_allocation(
             engine.serving, engine.per_gnb, engine.states,
-            inputs.true_row_fn, engine.noise)
+            inputs.true_rows, engine.noise)
         viol = [u for u, (s, ia, ie) in powers.items()
                 if s / (ia + ie + engine.noise) < thresh]
         if not viol:
@@ -481,32 +435,18 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
         # exact already (their precoders do not change on a tentative add).
         # Scanning in descending bound order lets the loop stop as soon as
         # no remaining candidate can beat the incumbent or the threshold.
+        vecs = {g: engine.inter_vec(ue, g) for g in range(inputs.n_gnbs)
+                if engine.states[g] is not None}
+        total = sum(vecs.values())
         bounds = []
-        if engine.has_row_matrices:
-            vecs = {}
-            total = 0.0
-            for g in range(inputs.n_gnbs):
-                v = engine.inter_vec(ue, g)
-                if v is not None:
-                    vecs[g] = v
-                    total = total + v
-            for b in cands.bpls:
-                if isinstance(total, float):
-                    inter = 0.0
-                else:
-                    inter = float(total[b.ue_beam])
-                    own_vec = vecs.get(b.gnb)
-                    if own_vec is not None:
-                        inter -= float(own_vec[b.ue_beam])
-                bounds.append(engine.snr_bound(ue, b.gnb, b.ue_beam)
-                              * engine.noise / (engine.noise + inter))
-        else:
-            for b in cands.bpls:
-                inter = sum(engine._inter_from(ue, b.ue_beam, g)
-                            for g in range(inputs.n_gnbs)
-                            if g != b.gnb and engine.states[g] is not None)
-                bounds.append(engine.snr_bound(ue, b.gnb, b.ue_beam)
-                              * engine.noise / (engine.noise + inter))
+        for b in cands.bpls:
+            inter = 0.0
+            if vecs:
+                inter = float(total[b.ue_beam])
+                if b.gnb in vecs:
+                    inter -= float(vecs[b.gnb][b.ue_beam])
+            bounds.append(engine.snr_bound(ue, b.gnb, b.ue_beam)
+                          * engine.noise / (engine.noise + inter))
         order = sorted(range(len(cands.bpls)), key=lambda i: -bounds[i])
         for i in order:
             bpl, bound = cands.bpls[i], bounds[i]
@@ -580,26 +520,13 @@ def _evaluate_assignment(assignment, ue_ids, inputs: AllocationInputs,
         per_gnb.setdefault(bpl.gnb, []).append(ue)
     states = {}
     for g, ues in per_gnb.items():
-        if len(ues) > cfg.n_rf_gnb:
-            return None
         try:
-            bpls = [serving[u] for u in ues]
-            w_rf = rf_stage(bpls, inputs.gnb_book, cfg.n_rf_gnb_sec)
-            eff = []
-            for u, b in zip(ues, bpls):
-                row = inputs.est_row_fn(u, g, b.ue_beam)
-                if row is None:
-                    row = np.zeros(4 * cfg.n_t, dtype=complex)
-                eff.append(EffectiveChannel(row=row @ w_rf, ue=u))
-            w_bb = zf_stage(eff, w_rf)
-            states[g] = GnbPrecoderState(
-                gnb=g, served=list(ues), w_rf=w_rf, w_bb=w_bb,
-                w_combined=compose(w_rf, w_bb),
-                p_per_ue=cfg.p_max_w / len(ues))
+            states[g] = gnb_precoder_state(inputs, g, ues, serving,
+                                           use_dbf=False)
         except (CapacityError, RankDeficiencyError):
             return None
     powers = metrics.evaluate_allocation(serving, per_gnb, states,
-                                         inputs.true_row_fn, cfg.noise_w)
+                                         inputs.true_rows, cfg.noise_w)
     total = 0.0
     for u, (s, ia, ie) in powers.items():
         sinr = s / (ia + ie + cfg.noise_w)
@@ -633,7 +560,7 @@ def allocate_cbf_tdma(inputs: AllocationInputs,
             per_gnb[best.gnb].append(ue)
 
     while True:
-        reports_by_ue = _cbf_evaluate(serving, per_gnb, inputs, rng)
+        reports_by_ue = _cbf_evaluate(serving, per_gnb, inputs, initial, rng)
         viol = [u for u, r in reports_by_ue.items()
                 if r.sinr_db < cfg.sinr_min_db]
         if not viol:
@@ -656,7 +583,7 @@ def allocate_cbf_tdma(inputs: AllocationInputs,
 
 
 def _cbf_evaluate(serving: dict, per_gnb: dict, inputs: AllocationInputs,
-                  rng: np.random.Generator) -> dict:
+                  initial: dict, rng: np.random.Generator) -> dict:
     """Expected-SINR link reports under random TDMA slot alignment."""
     cfg = inputs.cfg
     book = inputs.gnb_book
@@ -671,23 +598,20 @@ def _cbf_evaluate(serving: dict, per_gnb: dict, inputs: AllocationInputs,
     out = {}
     for ue, bpl in sorted(serving.items()):
         w = book.matrix[:, bpl.gnb_beam]
-        row = inputs.true_row_fn(ue, bpl.gnb, bpl.ue_beam)
-        sig = 0.0 if row is None else float(
-            cfg.p_max_w * column_powers(row[None, :], w[:, None])[0, 0])
+        row = inputs.true_rows[(ue, bpl.gnb)][bpl.ue_beam]
+        sig = float(cfg.p_max_w *
+                    column_powers(row[None, :], w[:, None])[0, 0])
         inter = 0.0
         for g, beams in slot_beam.items():
             if g == bpl.gnb:
                 continue
-            row_g = inputs.true_row_fn(ue, g, bpl.ue_beam)
-            if row_g is None:
-                continue
+            row_g = inputs.true_rows[(ue, g)][bpl.ue_beam]
             contrib = [float(cfg.p_max_w *
                              column_powers(row_g[None, :], b[:, None])[0, 0])
                        for b in beams]
             inter += float(np.mean(contrib))
         out[ue] = metrics.link_report(
-            ue, bpl, (sig, 0.0, inter), cfg.noise_w, cfg,
-            inputs.sweeps and _initial_gnbs(inputs.sweeps).get(ue, -1),
+            ue, bpl, (sig, 0.0, inter), cfg.noise_w, cfg, initial.get(ue, -1),
             time_share=len(per_gnb[bpl.gnb]))
     return out
 

@@ -98,12 +98,6 @@ class PropagationPath:
     def is_los(self) -> bool:
         return self.bounces == 0
 
-    def reversed(self) -> "PropagationPath":
-        """Swap transmitter/receiver roles (AoD <-> AoA)."""
-        return replace(self,
-                       aod_az_deg=self.aoa_az_deg, aod_el_deg=self.aoa_el_deg,
-                       aoa_az_deg=self.aod_az_deg, aoa_el_deg=self.aod_el_deg)
-
 
 @dataclass
 class MultiPanelChannel:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import D_OVER_LAMBDA, panel_grid, ura_steering, wrap_angle_deg
+from .channel import D_OVER_LAMBDA, panel_grid, ura_steering
 from .errors import ConfigurationError
 
 N_SEC = 4
@@ -36,7 +36,6 @@ class FullCodebook:
     matrix: np.ndarray        # (4 * n_elements, n_beams); zero outside own panel
     panel: np.ndarray         # (n_beams,) owning panel index
     local_az_deg: np.ndarray  # (n_beams,)
-    global_az_deg: np.ndarray  # (n_beams,)
 
     @property
     def n_beams(self) -> int:
@@ -57,12 +56,13 @@ def build_sector_codebook(n_q: int, n_elements: int) -> SectorCodebook:
                           beam_azimuths_deg=azimuths, weights=weights)
 
 
-def full_codebook(sector_books: list[SectorCodebook],
-                  orientations: np.ndarray) -> FullCodebook:
+def full_codebook(sector_books: list[SectorCodebook]) -> FullCodebook:
     """Merge four sector books; beam ids are panel-major.
 
     A beam's full-array weight vector is its panel weight vector placed in
-    that panel's element slice, zeros elsewhere (norm preserved).
+    that panel's element slice, zeros elsewhere (norm preserved).  Weights
+    are panel-local, so the book does not depend on panel orientation and
+    every node of one type shares it.
     """
     if len(sector_books) != N_SEC:
         raise ConfigurationError("expected one sector codebook per panel (4)")
@@ -76,23 +76,19 @@ def full_codebook(sector_books: list[SectorCodebook],
     matrix = np.zeros((N_SEC * n_el, n_beams), dtype=complex)
     panel = np.empty(n_beams, dtype=int)
     local_az = np.empty(n_beams)
-    global_az = np.empty(n_beams)
     for p, book in enumerate(sector_books):
         for i in range(per_panel):
             b = p * per_panel + i
             matrix[p * n_el:(p + 1) * n_el, b] = book.weights[:, i]
             panel[b] = p
             local_az[b] = book.beam_azimuths_deg[i]
-            global_az[b] = wrap_angle_deg(orientations[p] + book.beam_azimuths_deg[i])
     return FullCodebook(n_q=sector_books[0].n_q, per_panel=per_panel,
-                        matrix=matrix, panel=panel,
-                        local_az_deg=local_az, global_az_deg=global_az)
+                        matrix=matrix, panel=panel, local_az_deg=local_az)
 
 
-def default_full_codebook(n_q: int, n_elements: int,
-                          orientations: np.ndarray) -> FullCodebook:
+def default_full_codebook(n_q: int, n_elements: int) -> FullCodebook:
     book = build_sector_codebook(n_q, n_elements)
-    return full_codebook([book] * N_SEC, orientations)
+    return full_codebook([book] * N_SEC)
 
 
 def resolution(n_q) -> tuple[float, float]:

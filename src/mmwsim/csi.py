@@ -1,53 +1,13 @@
-"""Quantized channel estimation and per-UE effective channels."""
+"""Quantized channel estimation: propagation paths snapped to an angular lattice."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from .channel import MultiPanelChannel, assemble_channel, wrap_angle_deg
+from .channel import wrap_angle_deg
 from .codebook import EstimationGrid
-from .errors import DimensionMismatchError
-from .scenario import NetworkConfig
-
-
-@dataclass(frozen=True)
-class QuantizedPath:
-    """A path after angular snapping; gains of colliding paths are merged."""
-
-    gain: complex
-    q_aod_az: float
-    q_aod_el: float
-    q_aoa_az: float
-    q_aoa_el: float
-    bounces: int
-    path_length_m: float
-
-    # Aliases so quantized paths feed assemble_channel directly.
-    @property
-    def aod_az_deg(self) -> float:
-        return self.q_aod_az
-
-    @property
-    def aod_el_deg(self) -> float:
-        return self.q_aod_el
-
-    @property
-    def aoa_az_deg(self) -> float:
-        return self.q_aoa_az
-
-    @property
-    def aoa_el_deg(self) -> float:
-        return self.q_aoa_el
-
-
-@dataclass
-class EffectiveChannel:
-    """Row of the aggregated effective channel seen by one UE."""
-
-    row: np.ndarray   # (n_served,) complex
-    ue: int
 
 
 def snap_azimuth(az_deg: float, step: float) -> float:
@@ -71,59 +31,25 @@ def quantize_paths(paths: list, grid: EstimationGrid) -> list:
 
     With the exact-CSI grid the input is returned unchanged.  Paths that end
     up with identical quantized angle 4-tuples are merged by coherent complex
-    gain summation.
+    gain summation.  The result feeds ``assemble_channel`` like true paths.
     """
     if grid.is_exact:
         return list(paths)
-    merged: dict[tuple, QuantizedPath] = {}
-    order: list[tuple] = []
+    merged: dict = {}
     for p in paths:
-        q = QuantizedPath(
-            gain=p.gain,
-            q_aod_az=snap_azimuth(p.aod_az_deg, grid.az_step_deg),
-            q_aod_el=snap_elevation(p.aod_el_deg, grid.el_step_deg),
-            q_aoa_az=snap_azimuth(p.aoa_az_deg, grid.az_step_deg),
-            q_aoa_el=snap_elevation(p.aoa_el_deg, grid.el_step_deg),
-            bounces=p.bounces,
-            path_length_m=p.path_length_m)
-        key = (round(q.q_aod_az, 9), round(q.q_aod_el, 9),
-               round(q.q_aoa_az, 9), round(q.q_aoa_el, 9))
-        if key in merged:
-            prev = merged[key]
+        q = replace(
+            p,
+            aod_az_deg=snap_azimuth(p.aod_az_deg, grid.az_step_deg),
+            aod_el_deg=snap_elevation(p.aod_el_deg, grid.el_step_deg),
+            aoa_az_deg=snap_azimuth(p.aoa_az_deg, grid.az_step_deg),
+            aoa_el_deg=snap_elevation(p.aoa_el_deg, grid.el_step_deg))
+        key = (round(q.aod_az_deg, 9), round(q.aod_el_deg, 9),
+               round(q.aoa_az_deg, 9), round(q.aoa_el_deg, 9))
+        prev = merged.get(key)
+        if prev is not None:
             # keep the stronger contributor's bounce count and length
-            keep_new = abs(q.gain) > abs(prev.gain)
-            merged[key] = QuantizedPath(
-                gain=prev.gain + q.gain,
-                q_aod_az=q.q_aod_az, q_aod_el=q.q_aod_el,
-                q_aoa_az=q.q_aoa_az, q_aoa_el=q.q_aoa_el,
-                bounces=q.bounces if keep_new else prev.bounces,
-                path_length_m=q.path_length_m if keep_new else prev.path_length_m)
-        else:
-            merged[key] = q
-            order.append(key)
-    return [merged[k] for k in order]
-
-
-def estimate_channel(quantized: list, cfg: NetworkConfig,
-                     gnb_orientations: np.ndarray,
-                     ue_orientations: np.ndarray) -> MultiPanelChannel:
-    """Channel matrix reconstructed from (possibly quantized) paths.
-
-    Shares the gating and blockwise construction of the exact assembly, so
-    the exact-CSI grid reproduces the true channel bit for bit.
-    """
-    return assemble_channel(quantized, cfg, gnb_orientations, ue_orientations)
-
-
-def effective_channel(ue_combiner: np.ndarray, est: MultiPanelChannel,
-                      rf_precoders: np.ndarray, ue: int = -1) -> EffectiveChannel:
-    """w_c^H H_hat W_RF for one UE: its row of the aggregate effective channel."""
-    full = est.full()
-    if ue_combiner.shape[0] != full.shape[0]:
-        raise DimensionMismatchError(
-            f"combiner length {ue_combiner.shape[0]} != 4*n_r {full.shape[0]}")
-    if rf_precoders.shape[0] != full.shape[1]:
-        raise DimensionMismatchError(
-            f"RF precoder rows {rf_precoders.shape[0]} != 4*n_t {full.shape[1]}")
-    row = ue_combiner.conj() @ full @ rf_precoders
-    return EffectiveChannel(row=row, ue=ue)
+            keep = q if abs(q.gain) > abs(prev.gain) else prev
+            q = replace(q, gain=prev.gain + q.gain, bounces=keep.bounces,
+                        path_length_m=keep.path_length_m)
+        merged[key] = q   # a merged key keeps its first position
+    return list(merged.values())

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .precoder import GnbPrecoderState
 from .scenario import NetworkConfig
 
-# row_fn(ue, gnb, ue_beam) -> (4 n_t,) complex row w_c^H H_{ue,gnb}, or None
-RowFn = Callable[[int, int, int], Optional[np.ndarray]]
+# (ue, gnb) -> R = W_ue^H H_{ue,gnb}, (n_ue_beams, 4 n_t) complex: the
+# combined row w_c^H H of every UE beam; all zeros when the pair has no paths
+Rows = dict
 
 
 @dataclass
@@ -93,7 +93,7 @@ def throughput(sinr_db: float, cfg: NetworkConfig) -> float:
 
 
 def evaluate_allocation(serving: dict, per_gnb: dict, states: dict,
-                        row_fn: RowFn, noise_w: float) -> dict:
+                        rows: Rows, noise_w: float) -> dict:
     """Signal and interference powers of every allocated UE.
 
     Returns ue -> (rss_w, i_intra_w, i_inter_w).  The per-gNB kernel matches
@@ -109,13 +109,8 @@ def evaluate_allocation(serving: dict, per_gnb: dict, states: dict,
         if state is None or not state.served:
             continue
         col_of = {u: c for c, u in enumerate(state.served)}
-        rows = []
-        for u in ues:
-            r = row_fn(u, g, serving[u].ue_beam)
-            rows.append(r if r is not None
-                        else np.zeros(state.w_combined.shape[0], dtype=complex))
-        powers = state.p_per_ue * column_powers(np.vstack(rows),
-                                                state.w_combined)
+        stacked = np.vstack([rows[(u, g)][serving[u].ue_beam] for u in ues])
+        powers = state.p_per_ue * column_powers(stacked, state.w_combined)
         row_sums = powers.sum(axis=1)
         for u in ues:
             k = idx[u]
@@ -159,11 +154,11 @@ def dropped_report(ue: int, noise_w: float) -> LinkReport:
         rate_bps=0.0, alloc_rank=0, is_los=False, is_handover=False)
 
 
-def network_report(serving: dict, per_gnb: dict, states: dict, row_fn: RowFn,
+def network_report(serving: dict, per_gnb: dict, states: dict, rows: Rows,
                    cfg: NetworkConfig, n_ues: int,
                    initial_gnbs: dict) -> tuple[list[LinkReport], dict]:
     """Per-UE LinkReports plus an aggregate summary for one allocation."""
-    powers = evaluate_allocation(serving, per_gnb, states, row_fn, cfg.noise_w)
+    powers = evaluate_allocation(serving, per_gnb, states, rows, cfg.noise_w)
     reports = []
     for ue in range(n_ues):
         if ue in serving:

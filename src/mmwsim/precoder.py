@@ -9,7 +9,6 @@ from typing import Optional
 import numpy as np
 
 from .codebook import FullCodebook
-from .csi import EffectiveChannel
 from .errors import CapacityError, DimensionMismatchError, RankDeficiencyError
 
 COND_LIMIT = 1e12
@@ -57,22 +56,23 @@ def _right_pinv(aggregate: np.ndarray, ues: list) -> np.ndarray:
         raise RankDeficiencyError(ues) from exc
 
 
-def zf_stage(effective_rows: list[EffectiveChannel],
+def zf_stage(hbar: np.ndarray, ues: list,
              w_rf: Optional[np.ndarray] = None) -> np.ndarray:
-    """Zero-forcing baseband stage: aggregate @ W_BB = I on the served UEs.
+    """Zero-forcing baseband stage: hbar @ W_BB = I on the served UEs.
 
-    When ``w_rf`` is given, each column is normalized to make the composed
-    precoder column unit-norm (the transmit power constraint).
+    ``hbar`` stacks the served UEs' effective-channel rows w_c^H H_hat W_RF
+    in the order of ``ues``.  When ``w_rf`` is given, each column is
+    normalized to make the composed precoder column unit-norm (the transmit
+    power constraint).
     """
-    hbar = np.vstack([np.atleast_1d(e.row) for e in effective_rows])
-    if hbar.shape[0] != hbar.shape[1]:
+    if hbar.ndim != 2 or hbar.shape[0] != hbar.shape[1]:
         raise DimensionMismatchError(
             f"aggregate effective channel must be square, got {hbar.shape}")
-    w_bb = _right_pinv(hbar, [e.ue for e in effective_rows])
+    w_bb = _right_pinv(hbar, ues)
     if w_rf is not None:
         norms = np.linalg.norm(w_rf @ w_bb, axis=0)
         if np.any(norms == 0):
-            raise RankDeficiencyError([e.ue for e in effective_rows])
+            raise RankDeficiencyError(ues)
         w_bb = w_bb / norms[None, :]
     return w_bb
 
@@ -85,23 +85,6 @@ def compose(w_rf: np.ndarray, w_bb: np.ndarray) -> np.ndarray:
     return w_rf @ w_bb
 
 
-def hbf_precoder(serving_bpls: list, gnb_book: FullCodebook,
-                 effective_row_of, gnb: int, p_max: float,
-                 n_rf_sec: int) -> GnbPrecoderState:
-    """Full two-stage build for one gNB.
-
-    ``effective_row_of(bpl, w_rf)`` must return that UE's effective-channel
-    row against the estimated channel.
-    """
-    w_rf = rf_stage(serving_bpls, gnb_book, n_rf_sec)
-    rows = [effective_row_of(b, w_rf) for b in serving_bpls]
-    w_bb = zf_stage(rows, w_rf)
-    w = compose(w_rf, w_bb)
-    return GnbPrecoderState(gnb=gnb, served=[b.ue for b in serving_bpls],
-                            w_rf=w_rf, w_bb=w_bb, w_combined=w,
-                            p_per_ue=p_max / len(serving_bpls))
-
-
 def dbf_from_rows(rows: np.ndarray, ues: list) -> np.ndarray:
     """Digital ZF precoder from stacked w_c^H H_hat rows; unit-norm columns."""
     w = _right_pinv(np.atleast_2d(rows), ues)
@@ -110,10 +93,3 @@ def dbf_from_rows(rows: np.ndarray, ues: list) -> np.ndarray:
         raise RankDeficiencyError(ues)
     return w / norms[None, :]
 
-
-def dbf_precoder(ue_combiners: list[np.ndarray],
-                 est_channels: list) -> np.ndarray:
-    """Fully digital reference: ZF over w_c,i^H H_hat_i rows, no RF stage."""
-    rows = np.vstack([c.conj() @ ch.full() for c, ch in
-                      zip(ue_combiners, est_channels)])
-    return dbf_from_rows(rows, list(range(len(ue_combiners))))

@@ -12,11 +12,11 @@ from typing import Optional
 
 import numpy as np
 
-from .allocation import (Allocation, AllocationInputs, AllocMode,
-                         _initial_gnbs, allocate, allocate_cbf_tdma)
-from .beamsweep import sweep
+from .allocation import (Allocation, AllocationInputs, AllocMode, allocate,
+                         allocate_cbf_tdma)
+from .beamsweep import combined_rows, sweep
 from .channel import assemble_channel, ingest_paths, pair_rng, synthesize_paths
-from .codebook import default_full_codebook, estimation_grid
+from .codebook import FullCodebook, default_full_codebook, estimation_grid
 from .csi import quantize_paths
 from .metrics import network_report, summarize
 from .scenario import Deployment, NetworkConfig, generate_deployment
@@ -71,29 +71,6 @@ class CampaignResult:
         return out
 
 
-class _RowCache:
-    """Per-(ue, gnb) matrices of combined rows w_c^H H, one row per UE beam."""
-
-    def __init__(self, channels: dict, ue_books: dict):
-        self.channels = channels      # (gnb, ue) -> MultiPanelChannel or None
-        self.ue_books = ue_books      # ue -> FullCodebook
-        self._rows: dict = {}
-
-    def rows(self, ue: int, gnb: int) -> Optional[np.ndarray]:
-        key = (ue, gnb)
-        if key not in self._rows:
-            ch = self.channels.get((gnb, ue))
-            if ch is None:
-                self._rows[key] = None
-            else:
-                self._rows[key] = self.ue_books[ue].matrix.conj().T @ ch.full()
-        return self._rows[key]
-
-    def __call__(self, ue: int, gnb: int, ue_beam: int) -> Optional[np.ndarray]:
-        rows = self.rows(ue, gnb)
-        return None if rows is None else rows[ue_beam]
-
-
 def _pair_paths(cfg: NetworkConfig, dep: Deployment) -> dict:
     """(gnb, ue) -> path list, from the trace file or the synthetic generator."""
     if cfg.trace_file:
@@ -112,11 +89,49 @@ class RealizationContext:
 
     dep: Deployment
     inputs: AllocationInputs
-    initial_gnbs: dict
+
+
+def row_matrices(channels: dict, ue_book: FullCodebook, n_t: int,
+                 n_gnbs: int, n_ues: int) -> dict:
+    """(ue, gnb) -> R = W_ue^H H for every pair, from (gnb, ue) channels.
+
+    A pair without a channel gets one shared read-only all-zero R, so the
+    sweep, the allocators and the reports read every pair alike.
+    """
+    zero = np.zeros((ue_book.n_beams, 4 * n_t), dtype=complex)
+    zero.flags.writeable = False
+    return {(u, g): (combined_rows(channels[(g, u)], ue_book)
+                     if (g, u) in channels else zero)
+            for u in range(n_ues) for g in range(n_gnbs)}
+
+
+def build_inputs(cfg: NetworkConfig, n_gnbs: int, n_ues: int,
+                 channels: dict, est_channels: Optional[dict] = None
+                 ) -> AllocationInputs:
+    """Codebooks, row matrices and beam sweeps over assembled channels.
+
+    ``channels`` maps (gnb, ue) -> MultiPanelChannel for the pairs with
+    paths; ``est_channels`` holds their estimates, None for exact CSI.
+    """
+    # codebooks do not depend on panel orientation: one book per node type
+    gnb_book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
+    ue_book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
+    true_rows = row_matrices(channels, ue_book, cfg.n_t, n_gnbs, n_ues)
+    sweeps = {}
+    for u in range(n_ues):
+        sweeps[u] = sweep(
+            u, {g: channels.get((g, u)) for g in range(n_gnbs)},
+            {g: true_rows[(u, g)] for g in range(n_gnbs)}, gnb_book, ue_book,
+            cfg.p_max_w, cfg.noise_w, cfg.detection_floor_db)
+    est_rows = true_rows if est_channels is None else row_matrices(
+        est_channels, ue_book, cfg.n_t, n_gnbs, n_ues)
+    return AllocationInputs(cfg=cfg, n_gnbs=n_gnbs, n_ues=n_ues,
+                            sweeps=sweeps, true_rows=true_rows,
+                            est_rows=est_rows, gnb_book=gnb_book)
 
 
 def prepare_realization(cfg: NetworkConfig, realization: int) -> RealizationContext:
-    """Deploy, synthesize channels, run the beam sweep, build row caches."""
+    """Deploy, synthesize channels, run the beam sweep, build row matrices."""
     dep = generate_deployment(cfg, realization)
     paths = _pair_paths(cfg, dep)
 
@@ -127,49 +142,17 @@ def prepare_realization(cfg: NetworkConfig, realization: int) -> RealizationCont
                 plist, cfg, dep.gnb_panel_orientations[g],
                 dep.ue_panel_orientations[u])
 
-    gnb_books = {g: default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t,
-                                          dep.gnb_panel_orientations[g])
-                 for g in range(dep.n_gnbs)}
-    ue_books = {u: default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r,
-                                         dep.ue_panel_orientations[u])
-                for u in range(dep.n_ues)}
-
-    sweeps = {}
-    for u in range(dep.n_ues):
-        per_gnb = {g: channels.get((g, u)) for g in range(dep.n_gnbs)}
-        sweeps[u] = sweep(u, per_gnb, gnb_books, ue_books[u], cfg.p_max_w,
-                          cfg.noise_w, cfg.detection_floor_db)
-
     grid = estimation_grid(cfg.n_q_csi_bits)
-    if grid.is_exact:
-        est_channels = channels
-    else:
+    est_channels = None
+    if not grid.is_exact:
         est_channels = {}
         for (g, u), ch in channels.items():
             qpaths = quantize_paths(ch.exact_paths, grid)
             est_channels[(g, u)] = assemble_channel(
                 qpaths, cfg, dep.gnb_panel_orientations[g],
                 dep.ue_panel_orientations[u])
-
-    true_rows = _RowCache(channels, ue_books)
-    est_rows = true_rows if est_channels is channels else _RowCache(
-        est_channels, ue_books)
-    # materialize every (UE, gNB) row matrix up front: the combined rows
-    # w_c^H H are channel data shared by all allocation modes, and every
-    # mode ends up touching every pair through inter-cell interference
-    for u in range(dep.n_ues):
-        for g in range(dep.n_gnbs):
-            true_rows.rows(u, g)
-            est_rows.rows(u, g)
-
-    # all modes share one gNB codebook object when orientations are common
-    gnb_book = gnb_books[0] if dep.n_gnbs else None
-    inputs = AllocationInputs(
-        cfg=cfg, n_gnbs=dep.n_gnbs, n_ues=dep.n_ues, sweeps=sweeps,
-        true_row_fn=true_rows, est_row_fn=est_rows,
-        gnb_book=gnb_book, ue_book=ue_books)
-    return RealizationContext(dep=dep, inputs=inputs,
-                              initial_gnbs=_initial_gnbs(sweeps))
+    inputs = build_inputs(cfg, dep.n_gnbs, dep.n_ues, channels, est_channels)
+    return RealizationContext(dep=dep, inputs=inputs)
 
 
 def run_realization(ctx: RealizationContext, mode: AllocMode,
@@ -184,7 +167,7 @@ def run_realization(ctx: RealizationContext, mode: AllocMode,
         alloc = allocate(ctx.inputs, mode)
         reports, summary = network_report(
             alloc.serving, alloc.per_gnb, alloc.states,
-            ctx.inputs.true_row_fn, cfg, ctx.dep.n_ues, alloc.initial_gnbs)
+            ctx.inputs.true_rows, cfg, ctx.dep.n_ues, alloc.initial_gnbs)
     return RealizationResult(realization=realization, mode=mode,
                              allocation=alloc, reports=reports,
                              summary=summary)

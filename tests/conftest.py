@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from mmwsim.allocation import AllocationInputs
-from mmwsim.beamsweep import sweep
 from mmwsim.channel import PropagationPath, assemble_channel
-from mmwsim.codebook import default_full_codebook
-from mmwsim.runner import _RowCache
+from mmwsim.runner import build_inputs
 from mmwsim.scenario import NetworkConfig
 
 ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
@@ -24,24 +22,10 @@ def path(gain, aod_az, aoa_az, aod_el=0.0, aoa_el=0.0, bounces=0,
 
 def make_inputs(cfg: NetworkConfig, paths_by_pair: dict, n_gnbs: int,
                 n_ues: int) -> AllocationInputs:
-    """AllocationInputs from explicit (gnb, ue) -> path-list dictionaries."""
-    channels = {}
-    for (g, u), plist in paths_by_pair.items():
-        if plist:
-            channels[(g, u)] = assemble_channel(plist, cfg, ORIENT, ORIENT)
-    gnb_books = {g: default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t, ORIENT)
-                 for g in range(n_gnbs)}
-    ue_books = {u: default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r, ORIENT)
-                for u in range(n_ues)}
-    sweeps = {}
-    for u in range(n_ues):
-        per_gnb = {g: channels.get((g, u)) for g in range(n_gnbs)}
-        sweeps[u] = sweep(u, per_gnb, gnb_books, ue_books[u], cfg.p_max_w,
-                          cfg.noise_w, cfg.detection_floor_db)
-    rows = _RowCache(channels, ue_books)
-    return AllocationInputs(cfg=cfg, n_gnbs=n_gnbs, n_ues=n_ues,
-                            sweeps=sweeps, true_row_fn=rows, est_row_fn=rows,
-                            gnb_book=gnb_books[0], ue_book=ue_books)
+    """AllocationInputs (exact CSI) from explicit (gnb, ue) -> path lists."""
+    channels = {(g, u): assemble_channel(plist, cfg, ORIENT, ORIENT)
+                for (g, u), plist in paths_by_pair.items() if plist}
+    return build_inputs(cfg, n_gnbs, n_ues, channels)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import pytest
 from mmwsim.allocation import (AllocMode, allocate, allocate_oracle,
                                build_candidates, _initial_gnbs)
 from mmwsim.codebook import resolution
-from mmwsim.csi import EffectiveChannel, snap_azimuth, snap_elevation
+from mmwsim.csi import snap_azimuth, snap_elevation
 from mmwsim.errors import CapacityError, RankDeficiencyError
 from mmwsim.metrics import column_powers, network_report, throughput
 from mmwsim.precoder import compose, rf_stage, zf_stage
@@ -87,8 +87,7 @@ def test_criterion_1_zf_cancellation():
         hbar = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         w_rf = rng.normal(size=(64, k)) + 1j * rng.normal(size=(64, k))
         w_rf /= np.linalg.norm(w_rf, axis=0)[None, :]
-        eff = [EffectiveChannel(row=hbar[i], ue=i) for i in range(k)]
-        w_bb = zf_stage(eff, w_rf)
+        w_bb = zf_stage(hbar, list(range(k)), w_rf)
         powers = column_powers(hbar, w_bb)
         for i in range(k):
             rss = powers[i, i]
@@ -189,10 +188,10 @@ def _enumerate_best(inputs) -> float:
             try:
                 bpls = [serving[u] for u in ues]
                 w_rf = rf_stage(bpls, inputs.gnb_book, cfg.n_rf_gnb_sec)
-                eff = [EffectiveChannel(
-                    row=inputs.est_row_fn(u, g, serving[u].ue_beam) @ w_rf,
-                    ue=u) for u in ues]
-                w = compose(w_rf, zf_stage(eff, w_rf))
+                hbar = np.vstack([
+                    inputs.est_rows[(u, g)][serving[u].ue_beam] @ w_rf
+                    for u in ues])
+                w = compose(w_rf, zf_stage(hbar, ues, w_rf))
             except (CapacityError, RankDeficiencyError):
                 feasible = False
                 break
@@ -203,9 +202,7 @@ def _enumerate_best(inputs) -> float:
         for u, b in serving.items():
             sig = intra = inter = 0.0
             for g, (w, p, ues) in states.items():
-                row = inputs.true_row_fn(u, g, b.ue_beam)
-                if row is None:
-                    continue
+                row = inputs.true_rows[(u, g)][b.ue_beam]
                 powers = p * column_powers(row[None, :], w)[0]
                 if g == b.gnb:
                     sig = powers[ues.index(u)]
@@ -230,7 +227,7 @@ def test_criterion_4_oracle_dominance():
         oracle = allocate_oracle(inputs)
         o_reports, _ = network_report(
             oracle.serving, oracle.per_gnb, oracle.states,
-            inputs.true_row_fn, inputs.cfg, inputs.n_ues,
+            inputs.true_rows, inputs.cfg, inputs.n_ues,
             oracle.initial_gnbs)
         o_rate = sum(r.rate_bps for r in o_reports)
         naive = _enumerate_best(inputs)
@@ -240,7 +237,7 @@ def test_criterion_4_oracle_dominance():
             alloc = allocate(inputs, mode)
             reports, _ = network_report(
                 alloc.serving, alloc.per_gnb, alloc.states,
-                inputs.true_row_fn, inputs.cfg, inputs.n_ues,
+                inputs.true_rows, inputs.cfg, inputs.n_ues,
                 alloc.initial_gnbs)
             rate = sum(r.rate_bps for r in reports)
             assert o_rate >= rate - 1e-6, f"seed {seed}: {mode} beat oracle"
@@ -259,7 +256,7 @@ def _check_constraints(alloc, inputs, mode) -> list:
     cfg = inputs.cfg
     errs = []
     reports, _ = network_report(alloc.serving, alloc.per_gnb, alloc.states,
-                                inputs.true_row_fn, cfg, inputs.n_ues,
+                                inputs.true_rows, cfg, inputs.n_ues,
                                 alloc.initial_gnbs)
     for r in reports:
         if r.served and r.sinr_db < cfg.sinr_min_db - 1e-9:

@@ -10,7 +10,6 @@ from mmwsim.allocation import (AllocMode, allocate, allocate_5gnr,
                                allocate_oracle, build_candidates)
 from mmwsim.beamsweep import BeamPairLink
 from mmwsim.codebook import default_full_codebook
-from mmwsim.csi import EffectiveChannel
 from mmwsim.errors import GuardRailError
 from mmwsim.metrics import evaluate_allocation, network_report, throughput
 from mmwsim.precoder import compose, rf_stage, zf_stage
@@ -51,7 +50,7 @@ def test_single_ue_served_on_best_beam(tiny_cfg):
     alloc = allocate(inputs, AllocMode.FIVEG_NR)
     assert alloc.serving[0].candidate_rank == 1
     reports, summary = network_report(alloc.serving, alloc.per_gnb,
-                                      alloc.states, inputs.true_row_fn,
+                                      alloc.states, inputs.true_rows,
                                       tiny_cfg, 1, alloc.initial_gnbs)
     assert summary["coverage"] == 1.0
     # no interference of any kind: SINR equals SNR
@@ -158,7 +157,7 @@ def test_constraints_hold_on_random_instances(tiny_cfg, mode):
         alloc = allocate(inputs, mode)
         thresh = tiny_cfg.sinr_min_db
         powers = evaluate_allocation(alloc.serving, alloc.per_gnb,
-                                     alloc.states, inputs.true_row_fn,
+                                     alloc.states, inputs.true_rows,
                                      tiny_cfg.noise_w)
         for u, (s, ia, ie) in powers.items():
             sinr_db = 10 * math.log10(s / (ia + ie + tiny_cfg.noise_w))
@@ -220,10 +219,10 @@ def _naive_oracle(inputs):
             try:
                 bpls = [serving[u] for u in ues]
                 w_rf = rf_stage(bpls, inputs.gnb_book, cfg.n_rf_gnb_sec)
-                eff = [EffectiveChannel(
-                    row=inputs.est_row_fn(u, g, serving[u].ue_beam) @ w_rf,
-                    ue=u) for u in ues]
-                w_bb = zf_stage(eff, w_rf)
+                hbar = np.vstack([
+                    inputs.est_rows[(u, g)][serving[u].ue_beam] @ w_rf
+                    for u in ues])
+                w_bb = zf_stage(hbar, ues, w_rf)
                 states[g] = (compose(w_rf, w_bb), cfg.p_max_w / len(ues), ues)
             except Exception:
                 ok = False
@@ -233,12 +232,9 @@ def _naive_oracle(inputs):
         total = 0.0
         feasible = True
         for u, b in serving.items():
-            row = inputs.true_row_fn(u, b.gnb, b.ue_beam)
             sig = intra = inter = 0.0
             for g, (w, p, ues) in states.items():
-                r = inputs.true_row_fn(u, g, b.ue_beam)
-                if r is None:
-                    continue
+                r = inputs.true_rows[(u, g)][b.ue_beam]
                 pw = p * np.abs(r @ w) ** 2
                 if g == b.gnb:
                     i = ues.index(u)
@@ -276,7 +272,7 @@ def test_oracle_matches_naive_enumerator(tiny_cfg):
         inputs = _small_random_inputs(tiny_cfg, seed)
         alloc = allocate_oracle(inputs)
         reports, _ = network_report(alloc.serving, alloc.per_gnb,
-                                    alloc.states, inputs.true_row_fn,
+                                    alloc.states, inputs.true_rows,
                                     inputs.cfg, inputs.n_ues,
                                     alloc.initial_gnbs)
         got = sum(r.rate_bps for r in reports)
@@ -289,14 +285,14 @@ def test_oracle_dominates_heuristics(tiny_cfg):
         inputs = _small_random_inputs(tiny_cfg, 100 + seed)
         oracle = allocate_oracle(inputs)
         o_reports, _ = network_report(oracle.serving, oracle.per_gnb,
-                                      oracle.states, inputs.true_row_fn,
+                                      oracle.states, inputs.true_rows,
                                       inputs.cfg, inputs.n_ues,
                                       oracle.initial_gnbs)
         o_rate = sum(r.rate_bps for r in o_reports)
         for mode in (AllocMode.FIVEG_NR, AllocMode.DIABA, AllocMode.CIABA):
             alloc = allocate(inputs, mode)
             reports, _ = network_report(alloc.serving, alloc.per_gnb,
-                                        alloc.states, inputs.true_row_fn,
+                                        alloc.states, inputs.true_rows,
                                         inputs.cfg, inputs.n_ues,
                                         alloc.initial_gnbs)
             assert o_rate >= sum(r.rate_bps for r in reports) - 1e-6
@@ -341,8 +337,49 @@ def test_cbf_beats_hbf_without_interference(tiny_cfg):
     inputs = make_inputs(tiny_cfg, pairs, 1, 2)
     hbf = allocate(inputs, AllocMode.FIVEG_NR)
     h_reports, _ = network_report(hbf.serving, hbf.per_gnb, hbf.states,
-                                  inputs.true_row_fn, tiny_cfg, 2,
+                                  inputs.true_rows, tiny_cfg, 2,
                                   hbf.initial_gnbs)
     _, c_reports = allocate_cbf_tdma(inputs, np.random.default_rng(0))
     for u in range(2):
         assert c_reports[u].sinr_db >= h_reports[u].sinr_db - 1e-9
+
+
+# -- a gNB-UE pair without paths ------------------------------------------------
+
+def test_pair_without_paths_runs_every_mode(tiny_cfg):
+    # UE 0 has no path to gNB 1: its rows toward gNB 1 are the shared zero
+    # matrix, read by every allocator as exactly zero interference; UE 2 has
+    # no path at all and is dropped
+    from dataclasses import replace
+    cfg = replace(tiny_cfg, n_csi_rs=3.0)
+    pairs = {(0, 0): [_strong(10.0, -170.0)],
+             (1, 0): [],
+             (0, 1): [_strong(-60.0, 50.0, gain=0.3e-5)],
+             (1, 1): [_strong(100.0, 20.0)],
+             (0, 2): [], (1, 2): []}
+    inputs = make_inputs(cfg, pairs, 2, 3)
+    assert not np.any(inputs.true_rows[(0, 1)])
+    assert all(b.gnb == 0 for b in inputs.sweeps[0])
+    assert inputs.sweeps[2] == []
+    for mode in AllocMode:
+        if mode is AllocMode.CBF_TDMA:
+            alloc, reports = allocate_cbf_tdma(inputs,
+                                               np.random.default_rng(0))
+        else:
+            alloc = allocate(inputs, mode)
+            reports, _ = network_report(alloc.serving, alloc.per_gnb,
+                                        alloc.states, inputs.true_rows, cfg,
+                                        inputs.n_ues, alloc.initial_gnbs)
+        assert [r.ue for r in reports] == [0, 1, 2], mode
+        assert {r.ue for r in reports if r.served} == set(alloc.serving)
+        # both gNBs transmit, so UE 0 reads its zero rows toward gNB 1
+        assert {u: b.gnb for u, b in alloc.serving.items()} == {0: 0, 1: 1}
+        for r in reports:
+            assert all(math.isfinite(x) for x in
+                       (r.rss_w, r.i_intra_w, r.i_inter_w, r.rate_bps)), mode
+            if r.served:
+                assert r.gnb == alloc.serving[r.ue].gnb
+                assert r.sinr_db >= cfg.sinr_min_db - 1e-9
+            else:
+                assert r.gnb == -1 and r.rate_bps == 0.0
+        assert reports[0].i_inter_w == 0.0, mode

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mmwsim.beamsweep import initial_association, rsrp_table, sweep
+from mmwsim.beamsweep import (combined_rows, initial_association, rsrp_table,
+                              sweep)
 from mmwsim.channel import PropagationPath, assemble_channel
 from mmwsim.codebook import default_full_codebook
 from mmwsim.scenario import NetworkConfig
@@ -11,6 +12,16 @@ ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
 
 def _channel(cfg, paths):
     return assemble_channel(paths, cfg, ORIENT, ORIENT)
+
+
+def _sweep(cfg, channels, detection_floor_db=-10.0):
+    """Sweep UE 0 over gNB -> channel (or None) with the shared codebooks."""
+    gbook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
+    ubook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
+    rows = {g: combined_rows(ch, ubook) for g, ch in channels.items()
+            if ch is not None}
+    return sweep(0, channels, rows, gbook, ubook, cfg.p_max_w, cfg.noise_w,
+                 detection_floor_db)
 
 
 def _path(gain, aod_az, aoa_az, bounces=0):
@@ -27,9 +38,9 @@ def small_cfg():
 def test_rsrp_table_matches_per_pair_loop(small_cfg):
     cfg = small_cfg
     ch = _channel(cfg, [_path(1e-4, 11.0, -95.0), _path(5e-5, 40.0, 100.0, 1)])
-    gbook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t, ORIENT)
-    ubook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r, ORIENT)
-    table = rsrp_table(ch, gbook, ubook, p_ssb=1.0)
+    gbook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
+    ubook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
+    table = rsrp_table(combined_rows(ch, ubook), gbook, p_ssb=1.0)
     full = ch.full()
     for ub in range(ubook.n_beams):
         for gb in range(gbook.n_beams):
@@ -41,26 +52,19 @@ def test_sweep_detection_floor(small_cfg):
     cfg = small_cfg
     noise = cfg.noise_w
     ch = _channel(cfg, [_path(1e-4, 0.0, 180.0)])
-    gbook = default_full_codebook(2, cfg.n_t, ORIENT)
-    ubook = default_full_codebook(2, cfg.n_r, ORIENT)
-    found = sweep(0, {0: ch}, {0: gbook}, ubook, cfg.p_max_w, noise,
-                  detection_floor_db=-10.0)
+    found = _sweep(cfg, {0: ch}, detection_floor_db=-10.0)
     assert found
     floor = noise * 10 ** (-1.0)
     assert all(b.rsrp >= floor for b in found)
     # an absurdly high floor detects nothing
-    assert sweep(0, {0: ch}, {0: gbook}, ubook, cfg.p_max_w, noise,
-                 detection_floor_db=200.0) == []
+    assert _sweep(cfg, {0: ch}, detection_floor_db=200.0) == []
 
 
 def test_sweep_sorted_with_ranks(small_cfg):
     cfg = small_cfg
     ch0 = _channel(cfg, [_path(1e-4, 0.0, 180.0)])
     ch1 = _channel(cfg, [_path(2e-4, 0.0, 180.0)])
-    gbook = default_full_codebook(2, cfg.n_t, ORIENT)
-    found = sweep(0, {0: ch0, 1: ch1}, {0: gbook, 1: gbook},
-                  default_full_codebook(2, cfg.n_r, ORIENT),
-                  cfg.p_max_w, cfg.noise_w)
+    found = _sweep(cfg, {0: ch0, 1: ch1})
     rsrps = [b.rsrp for b in found]
     assert rsrps == sorted(rsrps, reverse=True)
     assert [b.candidate_rank for b in found] == list(range(1, len(found) + 1))
@@ -72,10 +76,7 @@ def test_sweep_tie_break_deterministic(small_cfg):
     # identical channels on both gNBs produce exact rsrp ties; order must be
     # (gnb, gnb_beam, ue_beam) ascending within a tie
     ch = _channel(cfg, [_path(1e-4, 0.0, 180.0)])
-    gbook = default_full_codebook(2, cfg.n_t, ORIENT)
-    found = sweep(0, {0: ch, 1: ch}, {0: gbook, 1: gbook},
-                  default_full_codebook(2, cfg.n_r, ORIENT),
-                  cfg.p_max_w, cfg.noise_w)
+    found = _sweep(cfg, {0: ch, 1: ch})
     for a, b in zip(found, found[1:]):
         assert (-a.rsrp, a.gnb, a.gnb_beam, a.ue_beam) <= \
                (-b.rsrp, b.gnb, b.gnb_beam, b.ue_beam)
@@ -84,30 +85,21 @@ def test_sweep_tie_break_deterministic(small_cfg):
 def test_sweep_los_flag(small_cfg):
     cfg = small_cfg
     ch = _channel(cfg, [_path(1e-4, 0.0, 180.0, bounces=1)])
-    gbook = default_full_codebook(2, cfg.n_t, ORIENT)
-    found = sweep(0, {0: ch}, {0: gbook},
-                  default_full_codebook(2, cfg.n_r, ORIENT),
-                  cfg.p_max_w, cfg.noise_w)
+    found = _sweep(cfg, {0: ch})
     assert found and all(not b.is_los for b in found
                          if b.ue_beam // 4 == 2 and b.gnb_beam // 4 == 0)
 
 
 def test_sweep_skips_missing_channels(small_cfg):
     cfg = small_cfg
-    gbook = default_full_codebook(2, cfg.n_t, ORIENT)
-    found = sweep(0, {0: None}, {0: gbook},
-                  default_full_codebook(2, cfg.n_r, ORIENT),
-                  cfg.p_max_w, cfg.noise_w)
+    found = _sweep(cfg, {0: None})
     assert found == []
 
 
 def test_initial_association(small_cfg):
     cfg = small_cfg
     ch = _channel(cfg, [_path(1e-4, 0.0, 180.0)])
-    gbook = default_full_codebook(2, cfg.n_t, ORIENT)
-    found = sweep(0, {0: ch}, {0: gbook},
-                  default_full_codebook(2, cfg.n_r, ORIENT),
-                  cfg.p_max_w, cfg.noise_w)
+    found = _sweep(cfg, {0: ch})
     best = initial_association(found)
     assert best is found[0] and best.candidate_rank == 1
     assert initial_association([]) is None

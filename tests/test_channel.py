@@ -60,17 +60,6 @@ def test_wrap_and_direction():
     assert el == pytest.approx(45.0)
 
 
-def test_path_reversal_swaps_departure_and_arrival():
-    p = PropagationPath(gain=1 + 2j, aod_az_deg=10.0, aod_el_deg=-5.0,
-                        aoa_az_deg=170.0, aoa_el_deg=3.0, bounces=1,
-                        path_length_m=80.0)
-    r = p.reversed()
-    assert (r.aod_az_deg, r.aod_el_deg) == (170.0, 3.0)
-    assert (r.aoa_az_deg, r.aoa_el_deg) == (10.0, -5.0)
-    assert r.gain == p.gain and r.bounces == 1
-    assert not p.is_los
-
-
 def _single_path(aod_az=0.0, aoa_az=0.0, gain=1.0 + 0j, bounces=0,
                  aod_el=0.0, aoa_el=0.0):
     return PropagationPath(gain=gain, aod_az_deg=aod_az, aod_el_deg=aod_el,

@@ -9,8 +9,6 @@ from mmwsim.codebook import (EstimationGrid, build_sector_codebook,
                              full_codebook, resolution)
 from mmwsim.errors import ConfigurationError
 
-ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
-
 
 def test_sector_beam_azimuths():
     book = build_sector_codebook(2, 16)
@@ -30,16 +28,15 @@ def test_sector_weights_are_boresight_steering_vectors():
 
 
 def test_full_codebook_panel_major_layout():
-    full = default_full_codebook(2, 16, ORIENT)
+    full = default_full_codebook(2, 16)
     assert full.n_beams == 16
     assert np.array_equal(full.panel, np.repeat(np.arange(4), 4))
     # beam 5 = panel 1, local index 1
     assert full.local_az_deg[5] == pytest.approx(-11.25)
-    assert full.global_az_deg[5] == pytest.approx(90.0 - 11.25)
 
 
 def test_full_codebook_zero_padding_preserves_norm():
-    full = default_full_codebook(2, 16, ORIENT)
+    full = default_full_codebook(2, 16)
     for b in range(full.n_beams):
         col = full.matrix[:, b]
         p = full.panel[b]
@@ -52,9 +49,9 @@ def test_full_codebook_rejects_mismatched_books():
     b2 = build_sector_codebook(2, 16)
     b3 = build_sector_codebook(3, 16)
     with pytest.raises(ConfigurationError):
-        full_codebook([b2, b2, b2, b3], ORIENT)
+        full_codebook([b2, b2, b2, b3])
     with pytest.raises(ConfigurationError):
-        full_codebook([b2, b2, b2], ORIENT)
+        full_codebook([b2, b2, b2])
 
 
 def test_resolution_frozen_values():

@@ -5,9 +5,7 @@ import pytest
 
 from mmwsim.channel import PropagationPath, assemble_channel
 from mmwsim.codebook import estimation_grid
-from mmwsim.csi import (effective_channel, estimate_channel, quantize_paths,
-                        snap_azimuth, snap_elevation)
-from mmwsim.errors import DimensionMismatchError
+from mmwsim.csi import quantize_paths, snap_azimuth, snap_elevation
 from mmwsim.scenario import NetworkConfig
 
 ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
@@ -84,7 +82,7 @@ def test_exact_csi_reconstruction_bit_identical():
     cfg = NetworkConfig(area_side_m=250.0, n_t=16, n_r=4)
     paths = [_path(10.0, -120.0), _path(-33.0, 140.0, bounces=1)]
     true = assemble_channel(paths, cfg, ORIENT, ORIENT)
-    est = estimate_channel(quantize_paths(paths, estimation_grid(math.inf)),
+    est = assemble_channel(quantize_paths(paths, estimation_grid(math.inf)),
                            cfg, ORIENT, ORIENT)
     assert np.array_equal(true.blocks, est.blocks)
 
@@ -93,7 +91,7 @@ def test_quantized_reconstruction_differs_but_close():
     cfg = NetworkConfig(area_side_m=250.0, n_t=16, n_r=4)
     paths = [_path(10.3, -120.7)]
     true = assemble_channel(paths, cfg, ORIENT, ORIENT)
-    est = estimate_channel(quantize_paths(paths, estimation_grid(6)),
+    est = assemble_channel(quantize_paths(paths, estimation_grid(6)),
                            cfg, ORIENT, ORIENT)
     assert not np.array_equal(true.blocks, est.blocks)
     num = np.linalg.norm(true.full() - est.full())
@@ -110,25 +108,8 @@ def test_rank_collapse_under_coarse_quantization():
     q = quantize_paths(paths, grid)
     assert len(q) == 1
     true = assemble_channel(paths, cfg, ORIENT, ORIENT)
-    est = estimate_channel(q, cfg, ORIENT, ORIENT)
+    est = assemble_channel(q, cfg, ORIENT, ORIENT)
     s_true = np.linalg.svd(true.blocks[3, 0], compute_uv=False)
     s_est = np.linalg.svd(est.blocks[3, 0], compute_uv=False)
     assert s_true[1] > 1e-8 * s_true[0]
     assert s_est[1] <= 1e-10 * s_est[0]
-
-
-def test_effective_channel_shapes_and_errors():
-    cfg = NetworkConfig(area_side_m=250.0, n_t=16, n_r=4)
-    ch = assemble_channel([_path(0.0, 180.0)], cfg, ORIENT, ORIENT)
-    w_c = np.zeros(16, dtype=complex)
-    w_c[8] = 1.0
-    w_rf = np.zeros((64, 2), dtype=complex)
-    w_rf[0, 0] = 1.0
-    w_rf[1, 1] = 1.0
-    eff = effective_channel(w_c, ch, w_rf, ue=5)
-    assert eff.row.shape == (2,)
-    assert eff.ue == 5
-    with pytest.raises(DimensionMismatchError):
-        effective_channel(np.ones(3, dtype=complex), ch, w_rf)
-    with pytest.raises(DimensionMismatchError):
-        effective_channel(w_c, ch, np.zeros((10, 2), dtype=complex))

@@ -54,15 +54,20 @@ def _two_gnb_instance():
     return cfg, pairs, inputs, alloc
 
 
+def _victim_combiner(cfg, alloc):
+    """UE 0's serving combiner w_c from the shared UE codebook."""
+    book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
+    return book.matrix[:, alloc.serving[0].ue_beam]
+
+
 def test_reference_ops_against_hand_computation():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
     assert 0 in alloc.serving and 1 in alloc.serving
     state0 = alloc.states[0]
     state1 = alloc.states[1]
-    ue_book = inputs.ue_book[0]
     ch_01 = assemble_channel(pairs[(0, 0)], cfg, ORIENT, ORIENT)
     ch_11 = assemble_channel(pairs[(1, 0)], cfg, ORIENT, ORIENT)
-    w_c = ue_book.matrix[:, alloc.serving[0].ue_beam]
+    w_c = _victim_combiner(cfg, alloc)
 
     got_rss = rss(w_c, ch_11, state1, ue=0)
     got_inter = inter_interference(w_c, {0: ch_01, 1: ch_11},
@@ -82,17 +87,17 @@ def test_reference_ops_against_hand_computation():
 def test_intra_interference_single_ue_is_zero():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
     ch_11 = assemble_channel(pairs[(1, 0)], cfg, ORIENT, ORIENT)
-    w_c = inputs.ue_book[0].matrix[:, alloc.serving[0].ue_beam]
+    w_c = _victim_combiner(cfg, alloc)
     assert intra_interference(w_c, ch_11, alloc.states[1], ue=0) == 0.0
 
 
 def test_evaluate_allocation_matches_reference_ops():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
     powers = evaluate_allocation(alloc.serving, alloc.per_gnb, alloc.states,
-                                 inputs.true_row_fn, cfg.noise_w)
+                                 inputs.true_rows, cfg.noise_w)
     ch_01 = assemble_channel(pairs[(0, 0)], cfg, ORIENT, ORIENT)
     ch_11 = assemble_channel(pairs[(1, 0)], cfg, ORIENT, ORIENT)
-    w_c = inputs.ue_book[0].matrix[:, alloc.serving[0].ue_beam]
+    w_c = _victim_combiner(cfg, alloc)
     s, ia, ie = powers[0]
     assert s == pytest.approx(rss(w_c, ch_11, alloc.states[1], 0), rel=1e-12)
     assert ia == pytest.approx(
@@ -105,7 +110,7 @@ def test_evaluate_allocation_matches_reference_ops():
 def test_sinr_bounded_by_snr():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
     reports, _ = network_report(alloc.serving, alloc.per_gnb, alloc.states,
-                                inputs.true_row_fn, cfg, 2,
+                                inputs.true_rows, cfg, 2,
                                 alloc.initial_gnbs)
     for r in reports:
         if r.served:

@@ -188,3 +188,22 @@ def test_trace_file_round_trip(tmp_path):
     cfg2 = _small_cfg(n_realizations=1, trace_file=str(trace))
     ctx2 = prepare_realization(cfg2, 0)
     assert ctx.inputs.sweeps == ctx2.inputs.sweeps
+
+
+def test_sweep_rsrp_is_read_from_the_allocators_rows():
+    # the sweep and the allocators share one row matrix R = W_ue^H H per
+    # pair: every swept RSRP is p_max |R W_gnb|^2 at (ue_beam, gnb_beam), bit
+    # for bit.  (Per-entry scalar arithmetic sums or squares in another
+    # order than the array kernels and may differ in the last bit.)
+    cfg = desk_scale_config(n_realizations=1)
+    inputs = prepare_realization(cfg, 0).inputs
+    n_bpls = 0
+    for ue, bpls in inputs.sweeps.items():
+        tables = {}
+        for b in bpls:
+            if b.gnb not in tables:
+                c = inputs.true_rows[(ue, b.gnb)] @ inputs.gnb_book.matrix
+                tables[b.gnb] = cfg.p_max_w * (c.real ** 2 + c.imag ** 2)
+            assert tables[b.gnb][b.ue_beam, b.gnb_beam] == b.rsrp
+            n_bpls += 1
+    assert n_bpls > 0
