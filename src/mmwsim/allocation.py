@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .beamsweep import BeamPairLink, initial_association
+from .beamsweep import BeamPairLink, Sweep, initial_association
 from .codebook import FullCodebook
 from .errors import CapacityError, GuardRailError, RankDeficiencyError
 from .metrics import column_powers
@@ -56,13 +56,13 @@ class AllocationInputs:
     cfg: NetworkConfig
     n_gnbs: int
     n_ues: int
-    sweeps: dict                     # ue -> sorted candidate list from beamsweep
+    sweeps: dict                     # ue -> beamsweep.Sweep
     true_rows: dict                  # (ue, gnb) -> R = W_ue^H H, see metrics.Rows
     est_rows: dict                   # same, against the estimated channels
     gnb_book: FullCodebook
 
 
-def build_candidates(ue: int, sweep_result: list, mode: AllocMode,
+def build_candidates(ue: int, sweep_result: Sweep, mode: AllocMode,
                      initial_gnb: int, n_csi_rs) -> CandidateSet:
     """Monitored-BPL set per allocation mode.
 
@@ -72,24 +72,20 @@ def build_candidates(ue: int, sweep_result: list, mode: AllocMode,
     if mode in (AllocMode.FIVEG_NR, AllocMode.DBF_5GNR, AllocMode.CBF_TDMA):
         best = initial_association(sweep_result)
         return CandidateSet(ue=ue, bpls=[best] if best else [])
+    ranks = np.arange(len(sweep_result))
     if mode is AllocMode.DIABA:
-        pool = [b for b in sweep_result if b.gnb == initial_gnb]
-    else:
-        pool = list(sweep_result)
+        ranks = ranks[sweep_result.gnb == initial_gnb]
     # one monitored BPL per transmit beam: a CSI-RS resource tracks a gNB
     # beam, and the UE receives it with its best RX beam; weaker RX beams of
     # an already-listed TX beam are duplicates, not alternatives
-    seen = set()
-    dedup = []
-    for b in pool:
-        key = (b.gnb, b.gnb_beam)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(b)
-    pool = dedup
+    if len(ranks):
+        gnb_beam = sweep_result.gnb_beam[ranks]
+        key = sweep_result.gnb[ranks] * (int(gnb_beam.max()) + 1) + gnb_beam
+        _, first = np.unique(key, return_index=True)
+        ranks = ranks[np.sort(first)]
     if math.isfinite(n_csi_rs):
-        pool = pool[:int(n_csi_rs)]
-    return CandidateSet(ue=ue, bpls=pool)
+        ranks = ranks[:int(n_csi_rs)]
+    return CandidateSet(ue=ue, bpls=[sweep_result[i] for i in ranks.tolist()])
 
 
 def gnb_precoder_state(inputs: AllocationInputs, gnb: int, ues: list,
@@ -348,18 +344,13 @@ class _Engine:
 
 def _ue_order(sweeps: dict) -> list:
     """UEs in descending order of their strongest swept RSRP."""
-    covered = [(u, c[0].rsrp) for u, c in sweeps.items() if c]
+    covered = [(u, float(c.rsrp[0])) for u, c in sweeps.items() if len(c)]
     covered.sort(key=lambda t: (-t[1], t[0]))
     return [u for u, _ in covered]
 
 
 def _initial_gnbs(sweeps: dict) -> dict:
-    out = {}
-    for u, cands in sweeps.items():
-        best = initial_association(cands)
-        if best is not None:
-            out[u] = best.gnb
-    return out
+    return {u: int(c.gnb[0]) for u, c in sweeps.items() if len(c)}
 
 
 def _enforce_coverage(engine: _Engine, inputs: AllocationInputs) -> None:
@@ -371,8 +362,7 @@ def _enforce_coverage(engine: _Engine, inputs: AllocationInputs) -> None:
     thresh = 10 ** (inputs.cfg.sinr_min_db / 10.0)
     while engine.serving:
         powers = metrics.evaluate_allocation(
-            engine.serving, engine.per_gnb, engine.states,
-            inputs.true_rows, engine.noise)
+            engine.serving, engine.per_gnb, engine.states, inputs.true_rows)
         viol = [u for u, (s, ia, ie) in powers.items()
                 if s / (ia + ie + engine.noise) < thresh]
         if not viol:
@@ -526,7 +516,7 @@ def _evaluate_assignment(assignment, ue_ids, inputs: AllocationInputs,
         except (CapacityError, RankDeficiencyError):
             return None
     powers = metrics.evaluate_allocation(serving, per_gnb, states,
-                                         inputs.true_rows, cfg.noise_w)
+                                         inputs.true_rows)
     total = 0.0
     for u, (s, ia, ie) in powers.items():
         sinr = s / (ia + ie + cfg.noise_w)

@@ -38,38 +38,74 @@ def rsrp_table(rows: np.ndarray, gnb_book: FullCodebook,
     return p_ssb * (coupling.real ** 2 + coupling.imag ** 2)
 
 
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """One UE's swept beam pairs above the detection floor, as rank-ordered
+    arrays (descending rsrp, ties by gnb, gnb_beam, ue_beam).
+
+    ``len()`` counts the pairs; indexing builds the ``BeamPairLink`` at that
+    rank, so link objects exist only for the pairs a caller reads.
+    """
+
+    ue: int
+    rsrp: np.ndarray       # (n,) float, linear (W)
+    gnb: np.ndarray        # (n,) int
+    gnb_beam: np.ndarray   # (n,) int
+    ue_beam: np.ndarray    # (n,) int
+    is_los: np.ndarray     # (n,) bool
+
+    def __len__(self) -> int:
+        return len(self.rsrp)
+
+    def __getitem__(self, i: int) -> BeamPairLink:
+        i = range(len(self))[i]
+        return BeamPairLink(ue=self.ue, gnb=int(self.gnb[i]),
+                            gnb_beam=int(self.gnb_beam[i]),
+                            ue_beam=int(self.ue_beam[i]),
+                            rsrp=float(self.rsrp[i]),
+                            is_los=bool(self.is_los[i]), candidate_rank=i + 1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sweep):
+            return NotImplemented
+        return self.ue == other.ue and all(
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in ("rsrp", "gnb", "gnb_beam", "ue_beam", "is_los"))
+
+
 def sweep(ue: int, channels: dict, rows: dict, gnb_book: FullCodebook,
           ue_book: FullCodebook, p_ssb: float, noise_w: float,
-          detection_floor_db: float = -10.0) -> list[BeamPairLink]:
+          detection_floor_db: float = -10.0) -> Sweep:
     """Exhaustive sweep over all gNBs and beam pairs for one UE.
 
     ``channels`` maps gNB -> channel (None when the pair has no paths) and
     ``rows`` maps gNB -> the pair's combined rows R.  Returns every beam pair
     whose rsrp clears the detection floor (relative to noise), sorted by
-    descending rsrp with deterministic tie-breaking, and with candidate
-    ranks assigned.
+    descending rsrp with deterministic tie-breaking.
     """
     floor_w = noise_w * 10 ** (detection_floor_db / 10.0)
-    found: list[tuple] = []
+    parts = []
     for gnb in sorted(channels):
         ch = channels[gnb]
         if ch is None:
             continue
         table = rsrp_table(rows[gnb], gnb_book, p_ssb)
-        ue_beams, gnb_beams = np.nonzero(table >= floor_w)
-        for ub, gb in zip(ue_beams.tolist(), gnb_beams.tolist()):
-            p = ue_book.panel[ub]
-            q = gnb_book.panel[gb]
-            found.append((float(table[ub, gb]), gnb, gb, ub,
-                          bool(ch.block_dominant_bounces[p, q] == 0)))
-    found.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
-    return [BeamPairLink(ue=ue, gnb=gnb, gnb_beam=gb, ue_beam=ub, rsrp=rsrp,
-                         is_los=los, candidate_rank=i + 1)
-            for i, (rsrp, gnb, gb, ub, los) in enumerate(found)]
+        ub, gb = np.nonzero(table >= floor_w)
+        los = ch.block_dominant_bounces[ue_book.panel[ub],
+                                        gnb_book.panel[gb]] == 0
+        parts.append((table[ub, gb], np.full(len(ub), gnb), gb, ub, los))
+    if not parts:
+        empty = np.empty(0, dtype=int)
+        return Sweep(ue=ue, rsrp=np.empty(0), gnb=empty, gnb_beam=empty,
+                     ue_beam=empty, is_los=np.empty(0, dtype=bool))
+    rsrp, gnb, gb, ub, los = (np.concatenate(c) for c in zip(*parts))
+    order = np.lexsort((ub, gb, gnb, -rsrp))
+    return Sweep(ue=ue, rsrp=rsrp[order], gnb=gnb[order], gnb_beam=gb[order],
+                 ue_beam=ub[order], is_los=los[order])
 
 
-def initial_association(candidates: list[BeamPairLink]) -> Optional[BeamPairLink]:
+def initial_association(candidates) -> Optional[BeamPairLink]:
     """Strongest swept BPL, or None when the UE is uncovered."""
-    if not candidates:
+    if len(candidates) == 0:
         return None
     return candidates[0]  # sweep output is sorted by candidate_rank

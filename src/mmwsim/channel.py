@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,11 @@ def wrap_angle_deg(a):
 
 def direction_deg(src: np.ndarray, dst: np.ndarray) -> tuple[float, float]:
     """(azimuth, elevation) of the ray leaving ``src`` towards ``dst``."""
-    d = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
+    return _azel(np.asarray(dst, dtype=float) - np.asarray(src, dtype=float))
+
+
+def _azel(d: np.ndarray) -> tuple[float, float]:
+    """(azimuth, elevation) of the direction vector ``d``."""
     az = math.degrees(math.atan2(d[1], d[0]))
     el = math.degrees(math.atan2(d[2], math.hypot(d[0], d[1])))
     if az >= 180.0:
@@ -120,12 +124,8 @@ class MultiPanelChannel:
 
     def full(self) -> np.ndarray:
         """Stack the blocks into the (4 n_r, 4 n_t) full-array matrix."""
-        n_r, n_t = self.n_r, self.n_t
-        out = np.zeros((4 * n_r, 4 * n_t), dtype=complex)
-        for p in range(4):
-            for q in range(4):
-                out[p * n_r:(p + 1) * n_r, q * n_t:(q + 1) * n_t] = self.blocks[p, q]
-        return out
+        return self.blocks.transpose(0, 2, 1, 3).reshape(4 * self.n_r,
+                                                         4 * self.n_t)
 
 
 def synthesize_paths(dep: Deployment, gnb: int, ue: int,
@@ -160,10 +160,12 @@ def synthesize_paths(dep: Deployment, gnb: int, ue: int,
             aoa_az_deg=aoa[0], aoa_el_deg=aoa[1],
             bounces=0, path_length_m=d_los))
 
-    for s_idx, s in enumerate(dep.scatterer_positions):
-        leg1 = float(np.linalg.norm(s - g))
-        leg2 = float(np.linalg.norm(u - s))
-        total = leg1 + leg2
+    # each leg length is its own dot product, as np.linalg.norm takes it: a
+    # row-wise array reduction sums in another order and moves the last bit
+    to_s = dep.scatterer_positions - g
+    from_u = dep.scatterer_positions - u
+    for s_idx, (d1, d2) in enumerate(zip(to_s, from_u)):
+        total = math.sqrt(d1.dot(d1)) + math.sqrt(d2.dot(d2))
         if total <= 0:
             continue
         if scat_draws[s_idx] >= math.exp(-total / cfg.d_blockage_m):
@@ -171,8 +173,8 @@ def synthesize_paths(dep: Deployment, gnb: int, ue: int,
         loss_db = fspl_db(total, cfg.carrier_hz) + cfg.reflection_loss_db
         mag = 10 ** (-loss_db / 20.0)
         phase = -2.0 * math.pi * total / lam
-        aod = direction_deg(g, s)
-        aoa = direction_deg(u, s)
+        aod = _azel(d1)
+        aoa = _azel(d2)
         paths.append(PropagationPath(
             gain=mag * complex(math.cos(phase), math.sin(phase)),
             aod_az_deg=aod[0], aod_el_deg=aod[1],
@@ -183,28 +185,42 @@ def synthesize_paths(dep: Deployment, gnb: int, ue: int,
 
 def _expand_clusters(paths: list[PropagationPath], rng: np.random.Generator,
                      cfg: NetworkConfig) -> list[PropagationPath]:
-    """Split each ray into n_subpaths diffuse rays of equal power."""
+    """Split each ray into n_subpaths diffuse rays of equal power.
+
+    Each diffuse ray draws, in this order, its (aod, aoa) azimuth offsets,
+    its (aod, aoa) elevation offsets and its phase: the pair's stream gives
+    the same numbers as per-ray ``rng.normal`` and ``rng.uniform`` calls.
+    """
     n = cfg.n_subpaths
     if n <= 1 or cfg.cluster_spread_deg <= 0.0 or not paths:
         return paths
     s_az = cfg.cluster_spread_deg
     s_el = 0.5 * s_az
     scale = 1.0 / math.sqrt(n)
+    m = n - 1
+    z = np.empty((len(paths) * m, 4))
+    uni = np.empty(len(paths) * m)
+    for i in range(len(uni)):
+        rng.standard_normal(out=z[i])
+        uni[i] = rng.random()
+    nominal = np.repeat([(p.aod_az_deg, p.aoa_az_deg, p.aod_el_deg,
+                          p.aoa_el_deg) for p in paths], m, axis=0)
+    # loc + scale * draw, as rng.normal(loc, scale) and rng.uniform(low,
+    # high) compute it
+    az = wrap_angle_deg(nominal[:, :2] + (0.0 + s_az * z[:, :2])).tolist()
+    el = np.clip(nominal[:, 2:] + (0.0 + s_el * z[:, 2:]), -90.0, 90.0).tolist()
+    phi = (0.0 + 2.0 * math.pi * uni).tolist()
     out: list[PropagationPath] = []
-    for p in paths:
-        out.append(replace(p, gain=p.gain * scale))
+    for j, p in enumerate(paths):
+        out.append(PropagationPath(
+            p.gain * scale, p.aod_az_deg, p.aod_el_deg, p.aoa_az_deg,
+            p.aoa_el_deg, p.bounces, p.path_length_m))
         mag = abs(p.gain) * scale
-        for _ in range(n - 1):
-            daz = rng.normal(0.0, s_az, size=2)
-            del_ = rng.normal(0.0, s_el, size=2)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            out.append(replace(
-                p,
-                gain=mag * complex(math.cos(phi), math.sin(phi)),
-                aod_az_deg=float(wrap_angle_deg(p.aod_az_deg + daz[0])),
-                aoa_az_deg=float(wrap_angle_deg(p.aoa_az_deg + daz[1])),
-                aod_el_deg=float(np.clip(p.aod_el_deg + del_[0], -90.0, 90.0)),
-                aoa_el_deg=float(np.clip(p.aoa_el_deg + del_[1], -90.0, 90.0))))
+        for i in range(j * m, (j + 1) * m):
+            out.append(PropagationPath(
+                mag * complex(math.cos(phi[i]), math.sin(phi[i])),
+                az[i][0], el[i][0], az[i][1], el[i][1],
+                p.bounces, p.path_length_m))
     return out
 
 

@@ -2,28 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .channel import wrap_angle_deg
+from .channel import PropagationPath, wrap_angle_deg
 from .codebook import EstimationGrid
 
 
-def snap_azimuth(az_deg: float, step: float) -> float:
-    """Snap to the nearest half-step lattice point; exact ties go down."""
-    t = az_deg / step
+def _lattice_centre(t: np.ndarray) -> np.ndarray:
+    """Nearest half-step lattice point in step units; exact ties go down."""
     k = np.floor(t)
-    centre = (t - 0.5) if t == k else (k + 0.5)
-    return float(wrap_angle_deg(centre * step))
+    return np.where(t == k, t - 0.5, k + 0.5)
 
-def snap_elevation(el_deg: float, step: float) -> float:
-    t = el_deg / step
-    k = np.floor(t)
-    centre = (t - 0.5) if t == k else (k + 0.5)
+
+def snap_azimuth(az_deg, step: float):
+    """Snap azimuths to the nearest half-step lattice point; exact ties go
+    down.  A scalar gives a float, an array an array of the same shape."""
+    out = wrap_angle_deg(_lattice_centre(np.asarray(az_deg) / step) * step)
+    return float(out) if out.ndim == 0 else out
+
+
+def snap_elevation(el_deg, step: float):
+    """Elevation counterpart of ``snap_azimuth``, kept inside [-90, 90]."""
+    centre = _lattice_centre(np.asarray(el_deg) / step)
     # lattice centres must stay inside [-90, 90]
     lo, hi = -90.0 / step + 0.5, 90.0 / step - 0.5
-    return float(min(max(centre, lo), hi) * step)
+    out = np.minimum(np.maximum(centre, lo), hi) * step
+    return float(out) if out.ndim == 0 else out
 
 
 def quantize_paths(paths: list, grid: EstimationGrid) -> list:
@@ -33,23 +37,23 @@ def quantize_paths(paths: list, grid: EstimationGrid) -> list:
     up with identical quantized angle 4-tuples are merged by coherent complex
     gain summation.  The result feeds ``assemble_channel`` like true paths.
     """
-    if grid.is_exact:
+    if grid.is_exact or not paths:
         return list(paths)
+    angles = np.array([(p.aod_az_deg, p.aoa_az_deg, p.aod_el_deg, p.aoa_el_deg)
+                       for p in paths])
+    az = snap_azimuth(angles[:, :2], grid.az_step_deg).tolist()
+    el = snap_elevation(angles[:, 2:], grid.el_step_deg).tolist()
     merged: dict = {}
-    for p in paths:
-        q = replace(
-            p,
-            aod_az_deg=snap_azimuth(p.aod_az_deg, grid.az_step_deg),
-            aod_el_deg=snap_elevation(p.aod_el_deg, grid.el_step_deg),
-            aoa_az_deg=snap_azimuth(p.aoa_az_deg, grid.az_step_deg),
-            aoa_el_deg=snap_elevation(p.aoa_el_deg, grid.el_step_deg))
-        key = (round(q.aod_az_deg, 9), round(q.aod_el_deg, 9),
-               round(q.aoa_az_deg, 9), round(q.aoa_el_deg, 9))
+    for p, (aod_az, aoa_az), (aod_el, aoa_el) in zip(paths, az, el):
+        key = (round(aod_az, 9), round(aod_el, 9),
+               round(aoa_az, 9), round(aoa_el, 9))
+        gain, bounces, length = p.gain, p.bounces, p.path_length_m
         prev = merged.get(key)
         if prev is not None:
             # keep the stronger contributor's bounce count and length
-            keep = q if abs(q.gain) > abs(prev.gain) else prev
-            q = replace(q, gain=prev.gain + q.gain, bounces=keep.bounces,
-                        path_length_m=keep.path_length_m)
-        merged[key] = q   # a merged key keeps its first position
+            if not abs(gain) > abs(prev.gain):
+                bounces, length = prev.bounces, prev.path_length_m
+            gain = prev.gain + gain
+        merged[key] = PropagationPath(gain, aod_az, aod_el, aoa_az, aoa_el,
+                                      bounces, length)   # keeps first position
     return list(merged.values())

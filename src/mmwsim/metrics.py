@@ -93,7 +93,7 @@ def throughput(sinr_db: float, cfg: NetworkConfig) -> float:
 
 
 def evaluate_allocation(serving: dict, per_gnb: dict, states: dict,
-                        rows: Rows, noise_w: float) -> dict:
+                        rows: Rows) -> dict:
     """Signal and interference powers of every allocated UE.
 
     Returns ue -> (rss_w, i_intra_w, i_inter_w).  The per-gNB kernel matches
@@ -158,7 +158,7 @@ def network_report(serving: dict, per_gnb: dict, states: dict, rows: Rows,
                    cfg: NetworkConfig, n_ues: int,
                    initial_gnbs: dict) -> tuple[list[LinkReport], dict]:
     """Per-UE LinkReports plus an aggregate summary for one allocation."""
-    powers = evaluate_allocation(serving, per_gnb, states, rows, cfg.noise_w)
+    powers = evaluate_allocation(serving, per_gnb, states, rows)
     reports = []
     for ue in range(n_ues):
         if ue in serving:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import make_inputs, path
-from mmwsim.allocation import (AllocMode, allocate, allocate_5gnr,
-                               allocate_cbf_tdma, allocate_iaba,
+from mmwsim.allocation import (AllocMode, _initial_gnbs, allocate,
+                               allocate_5gnr, allocate_cbf_tdma, allocate_iaba,
                                allocate_oracle, build_candidates)
-from mmwsim.beamsweep import BeamPairLink
+from mmwsim.beamsweep import BeamPairLink, Sweep
 from mmwsim.codebook import default_full_codebook
 from mmwsim.errors import GuardRailError
 from mmwsim.metrics import evaluate_allocation, network_report, throughput
@@ -22,10 +22,20 @@ def _strong(aod, aoa, gain=1e-5):
 
 # -- candidate construction ---------------------------------------------------
 
+def _as_sweep(bpls, ue=0):
+    """The rank-ordered sweep arrays of a BPL list."""
+    return Sweep(ue=ue, rsrp=np.array([b.rsrp for b in bpls], dtype=float),
+                 gnb=np.array([b.gnb for b in bpls], dtype=int),
+                 gnb_beam=np.array([b.gnb_beam for b in bpls], dtype=int),
+                 ue_beam=np.array([b.ue_beam for b in bpls], dtype=int),
+                 is_los=np.array([b.is_los for b in bpls], dtype=bool))
+
+
 def _fake_candidates(n, gnb_of):
-    return [BeamPairLink(ue=0, gnb=gnb_of(i), gnb_beam=i, ue_beam=0,
-                         rsrp=1.0 / (i + 1), is_los=True, candidate_rank=i + 1)
-            for i in range(n)]
+    return _as_sweep([
+        BeamPairLink(ue=0, gnb=gnb_of(i), gnb_beam=i, ue_beam=0,
+                     rsrp=1.0 / (i + 1), is_los=True, candidate_rank=i + 1)
+        for i in range(n)])
 
 
 def test_build_candidates_modes():
@@ -39,8 +49,62 @@ def test_build_candidates_modes():
     assert [b.candidate_rank for b in ci.bpls] == [1, 2, 3, 4]
     ci_inf = build_candidates(0, cands, AllocMode.CIABA, 0, math.inf)
     assert len(ci_inf.bpls) == 6
-    empty = build_candidates(0, [], AllocMode.FIVEG_NR, -1, math.inf)
-    assert empty.bpls == []
+    for mode in AllocMode:
+        empty = build_candidates(0, _as_sweep([]), mode, -1, math.inf)
+        assert empty.bpls == []
+
+
+def _reference_candidates(ue, sweep_bpls, mode, initial_gnb, n_csi_rs):
+    """Per-BPL dedup loop over the swept BPL list, kept as the reference."""
+    if mode in (AllocMode.FIVEG_NR, AllocMode.DBF_5GNR, AllocMode.CBF_TDMA):
+        return sweep_bpls[:1]
+    if mode is AllocMode.DIABA:
+        pool = [b for b in sweep_bpls if b.gnb == initial_gnb]
+    else:
+        pool = list(sweep_bpls)
+    seen, dedup = set(), []
+    for b in pool:
+        if (b.gnb, b.gnb_beam) not in seen:
+            seen.add((b.gnb, b.gnb_beam))
+            dedup.append(b)
+    if math.isfinite(n_csi_rs):
+        dedup = dedup[:int(n_csi_rs)]
+    return dedup
+
+
+def test_build_candidates_match_per_bpl_dedup_loop(tiny_cfg):
+    # gNBs 0 and 2 see UE 0 through the same paths (exact rsrp ties across
+    # gNBs); every pair has two paths, so several RX beams hear one TX beam
+    pairs = {}
+    for u in range(3):
+        for g in range(3):
+            aod = 15.0 + 40.0 * u + 7.0 * g
+            pairs[(g, u)] = [path(1e-5, aod, -160.0 + 50.0 * u),
+                             path(0.4e-5, aod + 80.0, 30.0 - 25.0 * u,
+                                  bounces=1)]
+    pairs[(2, 0)] = pairs[(0, 0)]
+    inputs = make_inputs(tiny_cfg, pairs, 3, 3)
+    tied = inputs.sweeps[0]
+    assert np.any((tied.rsrp[1:] == tied.rsrp[:-1]) &
+                  (tied.gnb[1:] != tied.gnb[:-1]))
+    initial = _initial_gnbs(inputs.sweeps)
+    n_checked = 0
+    for ue, sw in inputs.sweeps.items():
+        bpls = list(sw)
+        assert bpls and initial[ue] == bpls[0].gnb
+        for mode in AllocMode:
+            for initial_gnb in (initial[ue], -1, 0, 1, 2):
+                for n_csi_rs in (1, 4, math.inf):
+                    got = build_candidates(ue, sw, mode, initial_gnb,
+                                           n_csi_rs).bpls
+                    assert got == _reference_candidates(
+                        ue, bpls, mode, initial_gnb, n_csi_rs)
+                    n_checked += len(got)
+    assert n_checked > 0
+    # the dedup removes RX-beam duplicates of a listed TX beam
+    ci = build_candidates(0, inputs.sweeps[0], AllocMode.CIABA, -1,
+                          math.inf).bpls
+    assert len(ci) < len(inputs.sweeps[0])
 
 
 # -- 5G-NR baseline -----------------------------------------------------------
@@ -157,8 +221,7 @@ def test_constraints_hold_on_random_instances(tiny_cfg, mode):
         alloc = allocate(inputs, mode)
         thresh = tiny_cfg.sinr_min_db
         powers = evaluate_allocation(alloc.serving, alloc.per_gnb,
-                                     alloc.states, inputs.true_rows,
-                                     tiny_cfg.noise_w)
+                                     alloc.states, inputs.true_rows)
         for u, (s, ia, ie) in powers.items():
             sinr_db = 10 * math.log10(s / (ia + ie + tiny_cfg.noise_w))
             assert sinr_db >= thresh - 1e-9          # 17a
@@ -360,7 +423,7 @@ def test_pair_without_paths_runs_every_mode(tiny_cfg):
     inputs = make_inputs(cfg, pairs, 2, 3)
     assert not np.any(inputs.true_rows[(0, 1)])
     assert all(b.gnb == 0 for b in inputs.sweeps[0])
-    assert inputs.sweeps[2] == []
+    assert len(inputs.sweeps[2]) == 0
     for mode in AllocMode:
         if mode is AllocMode.CBF_TDMA:
             alloc, reports = allocate_cbf_tdma(inputs,

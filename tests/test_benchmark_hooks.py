@@ -36,4 +36,7 @@ def test_tracer_installs_and_uninstalls_on_live_modules(monkeypatch):
     # one gNB and one UE codebook per realization
     assert tracer.counts["codebook.builds"] == 2
     assert tracer.counts["allocation.candidates"] > 0
+    # the sweep hook counts every swept BPL through len() of the sweep
+    assert tracer.counts["beamsweep.bpls"] == sum(
+        len(ctx.inputs.sweeps[u]) for u in ctx.inputs.sweeps) > 0
     assert tracer.counts["kernel.column_powers_calls"] > 0

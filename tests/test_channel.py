@@ -1,15 +1,17 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mmwsim.channel import (MultiPanelChannel, PropagationPath,
-                            assemble_channel, direction_deg, fspl_db,
-                            ingest_paths, pair_rng, panel_grid,
+                            _expand_clusters, assemble_channel, direction_deg,
+                            fspl_db, ingest_paths, pair_rng, panel_grid,
                             synthesize_paths, ula_steering, ura_steering,
                             wrap_angle_deg)
 from mmwsim.errors import TraceParseError, TraceReferenceError
+from mmwsim.runner import desk_scale_config
 from mmwsim.scenario import NetworkConfig, generate_deployment
 
 ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
@@ -151,6 +153,58 @@ def test_synthesize_paths_deterministic_and_geometric():
             los_power += abs(p.gain) ** 2
     assert los_power == pytest.approx(
         10 ** (-fspl_db(d, cfg.carrier_hz) / 10.0))
+
+
+def _expand_clusters_per_subpath(paths, rng, cfg):
+    """Cluster expansion one subpath at a time: three draws and one
+    ``dataclasses.replace`` per diffuse ray, scalar wrap and clip."""
+    n = cfg.n_subpaths
+    if n <= 1 or cfg.cluster_spread_deg <= 0.0 or not paths:
+        return paths
+    s_az = cfg.cluster_spread_deg
+    s_el = 0.5 * s_az
+    scale = 1.0 / math.sqrt(n)
+    out = []
+    for p in paths:
+        out.append(dataclasses.replace(p, gain=p.gain * scale))
+        mag = abs(p.gain) * scale
+        for _ in range(n - 1):
+            daz = rng.normal(0.0, s_az, size=2)
+            del_ = rng.normal(0.0, s_el, size=2)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            out.append(dataclasses.replace(
+                p,
+                gain=mag * complex(math.cos(phi), math.sin(phi)),
+                aod_az_deg=float(wrap_angle_deg(p.aod_az_deg + daz[0])),
+                aoa_az_deg=float(wrap_angle_deg(p.aoa_az_deg + daz[1])),
+                aod_el_deg=float(np.clip(p.aod_el_deg + del_[0], -90.0, 90.0)),
+                aoa_el_deg=float(np.clip(p.aoa_el_deg + del_[1], -90.0, 90.0))))
+    return out
+
+
+def test_expand_clusters_equals_per_subpath_expansion():
+    # every gNB-UE pair of a desk realization: the array expansion draws the
+    # pair's stream in the per-subpath order and reproduces every ray exactly
+    cfg = desk_scale_config(n_realizations=1)
+    nominal_cfg = dataclasses.replace(cfg, n_subpaths=1)
+    dep = generate_deployment(cfg, 0)
+    n_rays = 0
+    for g in range(dep.n_gnbs):
+        for u in range(dep.n_ues):
+            rng_a = pair_rng(cfg, 0, g, u)
+            rng_b = pair_rng(cfg, 0, g, u)
+            nominal = synthesize_paths(dep, g, u, rng_a, nominal_cfg)
+            assert synthesize_paths(dep, g, u, rng_b, nominal_cfg) == nominal
+            got = _expand_clusters(nominal, rng_a, cfg)
+            assert got == _expand_clusters_per_subpath(nominal, rng_b, cfg)
+            assert all(type(x) is float for p in got for x in (
+                p.aod_az_deg, p.aod_el_deg, p.aoa_az_deg, p.aoa_el_deg))
+            # both streams end in the same state
+            assert rng_a.random() == rng_b.random()
+            assert got == synthesize_paths(dep, g, u, pair_rng(cfg, 0, g, u),
+                                           cfg)
+            n_rays += len(got)
+    assert n_rays > 0
 
 
 def test_pair_rng_streams_independent():

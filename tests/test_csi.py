@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mmwsim.channel import PropagationPath, assemble_channel
+from mmwsim.channel import PropagationPath, assemble_channel, wrap_angle_deg
 from mmwsim.codebook import estimation_grid
 from mmwsim.csi import quantize_paths, snap_azimuth, snap_elevation
 from mmwsim.scenario import NetworkConfig
@@ -113,3 +113,46 @@ def test_rank_collapse_under_coarse_quantization():
     s_est = np.linalg.svd(est.blocks[3, 0], compute_uv=False)
     assert s_true[1] > 1e-8 * s_true[0]
     assert s_est[1] <= 1e-10 * s_est[0]
+
+
+def _snap_azimuth_scalar(az_deg, step):
+    t = az_deg / step
+    k = math.floor(t)
+    centre = (t - 0.5) if t == k else (k + 0.5)
+    return float(wrap_angle_deg(centre * step))
+
+
+def _snap_elevation_scalar(el_deg, step):
+    t = el_deg / step
+    k = math.floor(t)
+    centre = (t - 0.5) if t == k else (k + 0.5)
+    lo, hi = -90.0 / step + 0.5, 90.0 / step - 0.5
+    return float(min(max(centre, lo), hi) * step)
+
+
+@pytest.mark.parametrize("n_q", [1, 4, 6, 8])
+def test_array_snapping_equals_elementwise_scalar_snapping(n_q):
+    grid = estimation_grid(n_q)
+    az_step, el_step = grid.az_step_deg, grid.el_step_deg
+    rng = np.random.default_rng(n_q)
+    edges_az = az_step * np.arange(-int(180 / az_step) - 1,
+                                   int(180 / az_step) + 2)
+    edges_el = el_step * np.arange(-int(90 / el_step) - 1,
+                                   int(90 / el_step) + 2)
+    az = np.concatenate([rng.uniform(-180.0, 180.0, 500), edges_az,
+                         [-180.0, 180.0, -90.0, 90.0, 0.0, -0.0]])
+    el = np.concatenate([rng.uniform(-90.0, 90.0, 500), edges_el,
+                         [-90.0, 90.0, 0.0, -0.0]])
+    for angles, step, snap, scalar in (
+            (az, az_step, snap_azimuth, _snap_azimuth_scalar),
+            (el, el_step, snap_elevation, _snap_elevation_scalar)):
+        expected = [scalar(float(a), step) for a in angles]
+        one_by_one = [snap(float(a), step) for a in angles]
+        assert all(type(x) is float for x in one_by_one)
+        assert one_by_one == expected
+        snapped = snap(angles, step)
+        assert snapped.shape == angles.shape
+        assert snapped.tolist() == expected
+        # a 2-D block snaps elementwise too
+        block = snap(angles[:len(angles) // 2 * 2].reshape(-1, 2), step)
+        assert block.ravel().tolist() == expected[:len(angles) // 2 * 2]

@@ -94,7 +94,7 @@ def test_intra_interference_single_ue_is_zero():
 def test_evaluate_allocation_matches_reference_ops():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
     powers = evaluate_allocation(alloc.serving, alloc.per_gnb, alloc.states,
-                                 inputs.true_rows, cfg.noise_w)
+                                 inputs.true_rows)
     ch_01 = assemble_channel(pairs[(0, 0)], cfg, ORIENT, ORIENT)
     ch_11 = assemble_channel(pairs[(1, 0)], cfg, ORIENT, ORIENT)
     w_c = _victim_combiner(cfg, alloc)
