@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -481,49 +482,142 @@ def allocate_oracle(inputs: AllocationInputs) -> Allocation:
                 f"oracle limited to {ORACLE_MAX_CANDIDATES} candidates per UE")
         options.append(cands.bpls + [None])
 
-    thresh = 10 ** (cfg.sinr_min_db / 10.0)
+    scorer = _OracleScorer(inputs, ue_ids, options)
     best_rate = -1.0
-    best: Optional[tuple] = None
-    for assignment in itertools.product(*options):
-        result = _evaluate_assignment(assignment, ue_ids, inputs, thresh)
-        if result is None:
-            continue
-        rate, serving, per_gnb, states = result
-        if rate > best_rate:
+    best: tuple = ()
+    for choice in itertools.product(*(range(len(o)) for o in options)):
+        rate = scorer.rate(choice)
+        if rate is not None and rate > best_rate:
             best_rate = rate
-            best = (serving, per_gnb, states)
-    serving, per_gnb, states = best if best else ({}, {}, {})
+            best = choice
+    serving = {}
+    per_gnb: dict[int, list[int]] = {}
+    for ue, opts, k in zip(ue_ids, options, best):
+        if opts[k] is not None:
+            serving[ue] = opts[k]
+            per_gnb.setdefault(opts[k].gnb, []).append(ue)
+    # gnb_precoder_state is deterministic: these are the precoders scored
+    states = {g: gnb_precoder_state(inputs, g, ues, serving, use_dbf=False)
+              for g, ues in per_gnb.items()}
     return Allocation(serving=serving, per_gnb=per_gnb, mode=AllocMode.ORACLE,
                       states=states, initial_gnbs=initial)
 
 
-def _evaluate_assignment(assignment, ue_ids, inputs: AllocationInputs,
-                         thresh: float):
-    """Feasibility + sum throughput of one complete oracle assignment."""
-    cfg = inputs.cfg
-    serving = {}
-    per_gnb: dict[int, list[int]] = {}
-    for ue, bpl in zip(ue_ids, assignment):
-        if bpl is None:
-            continue
-        serving[ue] = bpl
-        per_gnb.setdefault(bpl.gnb, []).append(ue)
-    states = {}
-    for g, ues in per_gnb.items():
+class _OracleScorer:
+    """Sum throughput of the oracle's assignments from per-gNB power terms.
+
+    An assignment (a ``choice``) picks one index into each UE's options:
+    its candidate BPLs, then None for dropped.  A gNB's precoder depends
+    only on the UEs it serves and their BPLs, so each distinct (gNB,
+    sub-assignment) is built once and kept as compact power terms; every
+    assignment is then scored from those, adding up the powers in the
+    order of ``metrics.evaluate_allocation``, so each rate is the one it
+    would give.
+    """
+
+    def __init__(self, inputs: AllocationInputs, ue_ids: list,
+                 options: list):
+        cfg = inputs.cfg
+        self.inputs = inputs
+        self.ue_ids = ue_ids
+        self.options = options
+        self.noise = cfg.noise_w
+        self.thresh = 10 ** (cfg.sinr_min_db / 10.0)
+        # gnb_of[i][k]: gNB of UE i's option k (-1 for dropped); beams[i][k]:
+        # its UE beam (0 for dropped, never read); slot[i][k]: its index in
+        # a power-term vector; mark[i][k]: its 3-bit digit (at most
+        # ORACLE_MAX_CANDIDATES + 1 options) in the code of the sub-assignment
+        # of the gNB serving it
+        self.gnb_of = [[-1 if b is None else b.gnb for b in opts]
+                       for opts in options]
+        self.beams = [[0 if b is None else b.ue_beam for b in opts]
+                      for opts in options]
+        self.slot, self.mark, n = [], [], 0
+        for i, opts in enumerate(options):
+            self.slot.append(list(range(n, n + len(opts))))
+            self.mark.append([(k + 1) << (3 * i) for k in range(len(opts))])
+            n += len(opts)
+        self.terms: dict = {}      # (gnb, code) -> _gnb_terms(...)
+
+    def _gnb_terms(self, gnb: int, choice: tuple) -> Optional[tuple]:
+        """Power terms of ``gnb``'s precoder for the UEs ``choice`` puts on
+        it; None when the set is infeasible.
+
+        Returns ``(powers, own, alone)``: ``powers[slot[i][k]]`` is the power
+        the precoder puts on UE i through the UE beam of its option k,
+        summed over the columns; ``own[c]`` is the c-th served UE's power in
+        its own column at its serving beam; ``alone`` is that power from a
+        one-row product when the gNB serves one UE, else None.
+
+        ``metrics.evaluate_allocation`` stacks one row per served UE of the
+        network before the product.  With two or more rows numpy runs gemm,
+        and each row's bits equal those of the pair's full R used here; a
+        single row goes through gemv, whose last bit can differ, so an
+        assignment that serves one UE reads ``alone``.
+        """
+        served = [i for i, k in enumerate(choice)
+                  if self.gnb_of[i][k] == gnb]
+        ues = [self.ue_ids[i] for i in served]
+        serving = {self.ue_ids[i]: self.options[i][choice[i]] for i in served}
         try:
-            states[g] = gnb_precoder_state(inputs, g, ues, serving,
-                                           use_dbf=False)
+            state = gnb_precoder_state(self.inputs, gnb, ues, serving,
+                                       use_dbf=False)
         except (CapacityError, RankDeficiencyError):
             return None
-    powers = metrics.evaluate_allocation(serving, per_gnb, states,
-                                         inputs.true_rows)
-    total = 0.0
-    for u, (s, ia, ie) in powers.items():
-        sinr = s / (ia + ie + cfg.noise_w)
-        if sinr < thresh:
-            return None
-        total += metrics.throughput(10.0 * math.log10(sinr), cfg)
-    return total, serving, per_gnb, states
+        w, p = state.w_combined, state.p_per_ue
+        rows = self.inputs.true_rows
+        powers, own = array("d"), array("d")
+        for i, ue in enumerate(self.ue_ids):
+            cols = p * column_powers(rows[(ue, gnb)], w)
+            powers.extend(cols.sum(axis=1)[self.beams[i]].tolist())
+            if i in served:
+                own.append(cols[self.beams[i][choice[i]], served.index(i)])
+        alone = None
+        if len(served) == 1:
+            (i,) = served
+            row = rows[(ues[0], gnb)][self.beams[i][choice[i]]][None, :]
+            alone = float((p * column_powers(row, w))[0, 0])
+        return powers, own, alone
+
+    def rate(self, choice: tuple) -> Optional[float]:
+        """Sum throughput of one complete assignment, None if infeasible."""
+        gnb_of, slot = self.gnb_of, self.slot
+        served = [(i, k) for i, k in enumerate(choice) if gnb_of[i][k] >= 0]
+        codes: dict = {}
+        for i, k in served:
+            g = gnb_of[i][k]
+            codes[g] = codes.get(g, 0) + self.mark[i][k]
+        found = {}
+        for g, code in codes.items():
+            key = (g, code)
+            if key not in self.terms:
+                self.terms[key] = self._gnb_terms(g, choice)
+            if self.terms[key] is None:
+                return None
+            found[g] = self.terms[key]
+        n = len(choice)
+        sig, intra, inter = [0.0] * n, [0.0] * n, [0.0] * n
+        for g in sorted(found):
+            powers, own, _ = found[g]
+            c = 0
+            for i, k in served:
+                if gnb_of[i][k] == g:
+                    sig[i] = own[c]
+                    intra[i] = powers[slot[i][k]] - own[c]
+                    c += 1
+                else:
+                    inter[i] += powers[slot[i][k]]
+        if len(served) == 1:
+            (i, k), = served
+            sig[i], intra[i] = found[gnb_of[i][k]][2], 0.0
+        cfg = self.inputs.cfg
+        total = 0.0
+        for i, _ in served:
+            sinr = sig[i] / (intra[i] + inter[i] + self.noise)
+            if sinr < self.thresh:
+                return None
+            total += metrics.throughput(10.0 * math.log10(sinr), cfg)
+        return total
 
 
 CBF_SLOT_DRAWS = 10

@@ -1,5 +1,6 @@
 """Shared builders for constructed allocation scenarios."""
 
+import math
 import sys
 
 import numpy as np
@@ -26,6 +27,29 @@ def make_inputs(cfg: NetworkConfig, paths_by_pair: dict, n_gnbs: int,
     channels = {(g, u): assemble_channel(plist, cfg, ORIENT, ORIENT)
                 for (g, u), plist in paths_by_pair.items() if plist}
     return build_inputs(cfg, n_gnbs, n_ues, channels)
+
+
+def small_instance(seed: int) -> AllocationInputs:
+    """Random guard-rail-sized instance with explicit geometric paths
+    (1-3 gNBs, 2-6 UEs, 4 CSI-RS)."""
+    rng = np.random.default_rng(seed)
+    cfg = NetworkConfig(area_side_m=250.0, n_t=16, n_r=4, n_q_sweep_bits=2,
+                        n_csi_rs=4)
+    n_gnbs = int(rng.integers(1, 4))
+    n_ues = int(rng.integers(2, 7))
+    pairs = {}
+    for g in range(n_gnbs):
+        for u in range(n_ues):
+            plist = []
+            for _ in range(int(rng.integers(1, 4))):
+                amp = 10 ** rng.uniform(-6.5, -4.5)
+                phase = rng.uniform(0.0, 2.0 * math.pi)
+                plist.append(path(
+                    amp * np.exp(1j * phase),
+                    rng.uniform(-180.0, 180.0), rng.uniform(-180.0, 180.0),
+                    length_m=rng.uniform(30.0, 150.0)))
+            pairs[(g, u)] = plist
+    return make_inputs(cfg, pairs, n_gnbs, n_ues)
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from mmwsim.runner import (desk_scale_config, emit, prepare_realization,
                            run_campaign, run_realization)
 from mmwsim.scenario import NetworkConfig
 
-from conftest import make_inputs, path
+from conftest import small_instance
 
 RESULT_LINES: list = []
 
@@ -139,28 +139,6 @@ def test_criterion_3_quantization_resolution():
 
 # 4 -- oracle dominance ----------------------------------------------------------
 
-def _small_instance(seed: int):
-    """Random guard-rail-sized instance with explicit geometric paths."""
-    rng = np.random.default_rng(seed)
-    cfg = NetworkConfig(area_side_m=250.0, n_t=16, n_r=4, n_q_sweep_bits=2,
-                        n_csi_rs=4)
-    n_gnbs = int(rng.integers(1, 4))
-    n_ues = int(rng.integers(2, 7))
-    pairs = {}
-    for g in range(n_gnbs):
-        for u in range(n_ues):
-            plist = []
-            for _ in range(int(rng.integers(1, 4))):
-                amp = 10 ** rng.uniform(-6.5, -4.5)
-                phase = rng.uniform(0.0, 2.0 * math.pi)
-                plist.append(path(
-                    amp * np.exp(1j * phase),
-                    rng.uniform(-180.0, 180.0), rng.uniform(-180.0, 180.0),
-                    length_m=rng.uniform(30.0, 150.0)))
-            pairs[(g, u)] = plist
-    return make_inputs(cfg, pairs, n_gnbs, n_ues)
-
-
 def _enumerate_best(inputs) -> float:
     """Independent brute-force search over monitored-candidate assignments."""
     cfg = inputs.cfg
@@ -223,7 +201,7 @@ def test_criterion_4_oracle_dominance():
     t0 = time.perf_counter()
     worst_gap = 0.0
     for seed in range(50):
-        inputs = _small_instance(seed)
+        inputs = small_instance(seed)
         oracle = allocate_oracle(inputs)
         o_reports, _ = network_report(
             oracle.serving, oracle.per_gnb, oracle.states,

@@ -1,19 +1,27 @@
 import itertools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_inputs, path
-from mmwsim.allocation import (AllocMode, _initial_gnbs, allocate,
-                               allocate_5gnr, allocate_cbf_tdma, allocate_iaba,
-                               allocate_oracle, build_candidates)
+from conftest import make_inputs, path, small_instance
+from mmwsim import allocation
+from mmwsim.allocation import (ORACLE_MAX_CANDIDATES, AllocMode, Allocation,
+                               _initial_gnbs, allocate, allocate_5gnr,
+                               allocate_cbf_tdma, allocate_iaba,
+                               allocate_oracle, build_candidates,
+                               gnb_precoder_state)
 from mmwsim.beamsweep import BeamPairLink, Sweep
 from mmwsim.codebook import default_full_codebook
-from mmwsim.errors import GuardRailError
+from mmwsim.errors import CapacityError, GuardRailError, RankDeficiencyError
 from mmwsim.metrics import evaluate_allocation, network_report, throughput
 from mmwsim.precoder import compose, rf_stage, zf_stage
-from mmwsim.scenario import NetworkConfig
+from mmwsim.runner import prepare_realization
+from mmwsim.scenario import NetworkConfig, load_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _strong(aod, aoa, gain=1e-5):
@@ -362,10 +370,158 @@ def test_oracle_dominates_heuristics(tiny_cfg):
         assert o_rate >= 0.0
 
 
-def test_oracle_guard_rails(tiny_cfg):
-    inputs = _small_random_inputs(tiny_cfg, 0, n_gnbs=2, n_ues=7)
-    with pytest.raises(GuardRailError):
-        allocate_oracle(inputs)
+def _count_precoder_builds(monkeypatch) -> list:
+    """Record the (gnb, ((ue, gnb_beam, ue_beam), ...)) key of every
+    precoder the oracle builds, in call order."""
+    keys = []
+    build = allocation.gnb_precoder_state
+
+    def counted(inputs, gnb, ues, serving, **kwargs):
+        keys.append((gnb, tuple((u, serving[u].gnb_beam, serving[u].ue_beam)
+                                for u in ues)))
+        return build(inputs, gnb, ues, serving, **kwargs)
+
+    monkeypatch.setattr(allocation, "gnb_precoder_state", counted)
+    return keys
+
+
+def test_oracle_guard_rails(tiny_cfg, monkeypatch):
+    keys = _count_precoder_builds(monkeypatch)
+    too_many_ues = _small_random_inputs(tiny_cfg, 0, n_gnbs=2, n_ues=7)
+    too_many_gnbs = _small_random_inputs(tiny_cfg, 0, n_gnbs=4, n_ues=3)
+    base = _small_random_inputs(tiny_cfg, 0, n_gnbs=2, n_ues=3)
+    unlimited = replace(base, cfg=replace(base.cfg, n_csi_rs=math.inf))
+    initial = _initial_gnbs(unlimited.sweeps)
+    assert max(len(build_candidates(u, unlimited.sweeps[u], AllocMode.CIABA,
+                                    initial.get(u, -1), math.inf).bpls)
+               for u in unlimited.sweeps) > ORACLE_MAX_CANDIDATES
+    for inputs in (too_many_ues, too_many_gnbs, unlimited):
+        with pytest.raises(GuardRailError):
+            allocate_oracle(inputs)
+    # every refusal comes before the search builds a single precoder
+    assert keys == []
+
+
+def _oracle_options(inputs):
+    """Sorted UE ids and each UE's oracle options (candidates, then None)."""
+    initial = _initial_gnbs(inputs.sweeps)
+    ue_ids = sorted(inputs.sweeps)
+    return ue_ids, [
+        build_candidates(u, inputs.sweeps[u], AllocMode.CIABA,
+                         initial.get(u, -1), inputs.cfg.n_csi_rs).bpls + [None]
+        for u in ue_ids]
+
+
+def _reference_oracle(inputs):
+    """The oracle without its per-gNB cache: every assignment builds each
+    gNB's precoder with gnb_precoder_state and is scored by
+    metrics.evaluate_allocation.  Returns the allocation and every
+    assignment's rate (None when infeasible) in enumeration order."""
+    cfg = inputs.cfg
+    ue_ids, options = _oracle_options(inputs)
+    thresh = 10 ** (cfg.sinr_min_db / 10.0)
+    rates = []
+    best_rate, best = -1.0, ({}, {}, {})
+    for combo in itertools.product(*options):
+        serving, per_gnb = {}, {}
+        for u, b in zip(ue_ids, combo):
+            if b is not None:
+                serving[u] = b
+                per_gnb.setdefault(b.gnb, []).append(u)
+        rates.append(None)
+        try:
+            states = {g: gnb_precoder_state(inputs, g, ues, serving, False)
+                      for g, ues in per_gnb.items()}
+        except (CapacityError, RankDeficiencyError):
+            continue
+        powers = evaluate_allocation(serving, per_gnb, states,
+                                     inputs.true_rows)
+        total = 0.0
+        for s, ia, ie in powers.values():
+            sinr = s / (ia + ie + cfg.noise_w)
+            if sinr < thresh:
+                break
+            total += throughput(10.0 * math.log10(sinr), cfg)
+        else:
+            rates[-1] = total
+            if total > best_rate:
+                best_rate, best = total, (serving, per_gnb, states)
+    serving, per_gnb, states = best
+    return Allocation(serving=serving, per_gnb=per_gnb, mode=AllocMode.ORACLE,
+                      states=states, initial_gnbs=_initial_gnbs(inputs.sweeps)
+                      ), rates
+
+
+def _assert_same_allocation(got, want):
+    assert got.serving == want.serving
+    assert got.per_gnb == want.per_gnb
+    assert got.initial_gnbs == want.initial_gnbs
+    assert list(got.states) == list(want.states)
+    for g, w in want.states.items():
+        s = got.states[g]
+        assert s.served == w.served
+        assert s.p_per_ue == w.p_per_ue
+        for name in ("w_rf", "w_bb", "w_combined"):
+            assert np.array_equal(getattr(s, name), getattr(w, name))
+
+
+def _assert_oracle_matches_reference(inputs):
+    """Same winner, states and bits as the reference, and the same rate
+    for every assignment, bit for bit."""
+    want, want_rates = _reference_oracle(inputs)
+    _assert_same_allocation(allocate_oracle(inputs), want)
+    scorer = allocation._OracleScorer(inputs, *_oracle_options(inputs))
+    assert [scorer.rate(choice) for choice in itertools.product(
+        *(range(len(o)) for o in scorer.options))] == want_rates
+    return want
+
+
+def _tiny_inputs(seed: int, realization: int):
+    cfg = load_config(str(ROOT / "configs" / "tiny.yaml"), [f"seed={seed}"])
+    return prepare_realization(cfg, realization).inputs
+
+
+# (seed, realization) of configs/tiny.yaml, all within the oracle's guard
+# rails: (1, 5) has 6 UEs, (1, 20) one UE, and (1, 30) and (3, 1) also have
+# sub-assignments that exceed a panel's RF chains
+TINY_ORACLE_CASES = [(1, 0), (1, 5), (1, 20), (1, 30), (3, 1), (3, 10)]
+
+
+def test_oracle_matches_per_assignment_reference(monkeypatch):
+    build = allocation.gnb_precoder_state
+    rank_deficient = []
+
+    def watched(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except RankDeficiencyError:
+            rank_deficient.append(args[1])
+            raise
+
+    monkeypatch.setattr(allocation, "gnb_precoder_state", watched)
+    single_served = 0
+    for seed, r in TINY_ORACLE_CASES:
+        inputs = _tiny_inputs(seed, r)
+        assert inputs.n_ues <= allocation.ORACLE_MAX_UES
+        winner = _assert_oracle_matches_reference(inputs)
+        single_served += len(winner.serving) == 1
+    assert single_served and rank_deficient
+    for seed in range(4):
+        _assert_oracle_matches_reference(small_instance(seed))
+
+
+def test_oracle_builds_each_gnb_sub_assignment_once(monkeypatch):
+    keys = _count_precoder_builds(monkeypatch)
+    alloc = allocate_oracle(_tiny_inputs(1, 5))
+    n_winner = len(alloc.per_gnb)
+    search, rebuilt = keys[:len(keys) - n_winner], keys[len(keys) - n_winner:]
+    assert len(search) == len(set(search))
+    assert len(keys) == len(set(search)) + n_winner
+    # the winner's precoders are rebuilt once each, from keys already scored
+    assert sorted(rebuilt) == sorted(
+        (g, tuple((u, alloc.serving[u].gnb_beam, alloc.serving[u].ue_beam)
+                  for u in ues)) for g, ues in alloc.per_gnb.items())
+    assert set(rebuilt) <= set(search)
 
 
 # -- CBF SU-MIMO TDMA ----------------------------------------------------------

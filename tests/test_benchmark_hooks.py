@@ -33,6 +33,10 @@ def test_tracer_installs_and_uninstalls_on_live_modules(monkeypatch):
             "channel.assemble", "codebook.build", "beamsweep.sweep",
             "csi.quantize", "precoder.zf", "metrics.evaluate",
             "allocation.oracle", "allocation.cbf-tdma"} <= names
+    # the oracle builds its precoders through allocation.zf_stage, so the
+    # traced run attributes its ZF work to the oracle
+    assert any(span[tracing.NAME] == "precoder.zf"
+               and span[tracing.MODE] == "oracle" for span in tracer.spans)
     # one gNB and one UE codebook per realization
     assert tracer.counts["codebook.builds"] == 2
     assert tracer.counts["allocation.candidates"] > 0
