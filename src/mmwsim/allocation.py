@@ -137,6 +137,7 @@ class _Engine:
         self._version = {g: 0 for g in range(inputs.n_gnbs)}
         self._inter_memo: dict = {}
         self._bound_memo: dict = {}
+        self._panel_of = inputs.gnb_book.panel.tolist()   # gNB beam -> panel
 
     # -- capacity -------------------------------------------------------
 
@@ -146,10 +147,10 @@ class _Engine:
             return False
         if self.use_dbf:
             return True
-        book = self.inputs.gnb_book
-        panel = int(book.panel[bpl.gnb_beam])
+        panel_of = self._panel_of
+        panel = panel_of[bpl.gnb_beam]
         on_panel = sum(1 for u in served
-                       if int(book.panel[self.serving[u].gnb_beam]) == panel)
+                       if panel_of[self.serving[u].gnb_beam] == panel)
         return on_panel + 1 <= self.inputs.cfg.n_rf_gnb_sec
 
     # -- incremental metric bookkeeping -----------------------------------
@@ -183,13 +184,23 @@ class _Engine:
             self.intra[u] = float(sums[i] - powers[i, i])
             self.inter.setdefault(u, {}).pop(gnb, None)
         if update_others:
-            others = [u for u in self.serving if self.serving[u].gnb != gnb]
-            if others:
-                rows_o = np.vstack([self._row(u, gnb) for u in others])
-                contrib = (state.p_per_ue *
-                           column_powers(rows_o, state.w_combined)).sum(axis=1)
-                for u, c in zip(others, contrib):
-                    self.inter.setdefault(u, {})[gnb] = float(c)
+            self.refresh_others(gnb)
+
+    def _others(self, gnb: int) -> list:
+        """Served UEs of every gNB but ``gnb``, in serving order."""
+        return [u for u in self.serving if self.serving[u].gnb != gnb]
+
+    def refresh_others(self, gnb: int) -> None:
+        """Refresh the interference ``gnb``'s current precoder causes every
+        UE another gNB serves."""
+        state = self.states[gnb]
+        others = self._others(gnb)
+        if others:
+            rows_o = np.vstack([self._row(u, gnb) for u in others])
+            contrib = (state.p_per_ue *
+                       column_powers(rows_o, state.w_combined)).sum(axis=1)
+            for u, c in zip(others, contrib):
+                self.inter.setdefault(u, {})[gnb] = float(c)
 
     def inter_vec(self, ue: int, gnb: int) -> np.ndarray:
         """Interference the active gNB's current precoder causes this UE, for
@@ -211,11 +222,10 @@ class _Engine:
             if g != bpl.gnb and self.states[g] is not None}
 
     def snr_bound(self, ue: int, gnb: int, ue_beam: int) -> float:
-        """Upper bound on any achievable SINR for this (UE beam, gNB) pair.
+        """P_max * |w_c^H H|^2 / noise for this (UE beam, gNB) pair.
 
-        Own signal power is at most P_max * |w_c^H H|^2 for a unit-norm
-        precoder column, so candidates whose bound cannot beat the incumbent
-        best (or the coverage threshold) are skipped without a tentative add.
+        ``candidate_bounds`` applies the power share p_per_ue / P_max and
+        the interference to turn it into an SINR bound.
         """
         key = (ue, gnb, ue_beam)
         val = self._bound_memo.get(key)
@@ -224,6 +234,29 @@ class _Engine:
             val = self.p_max * float(np.real(np.vdot(row, row))) / self.noise
             self._bound_memo[key] = val
         return val
+
+    def candidate_bounds(self, ue: int, bpls: list) -> list:
+        """Upper bound on each candidate's own linear SINR if added now.
+
+        On a gNB already serving n UEs the candidate gets P_max/(n+1) on a
+        unit-norm column, so its signal power is at most
+        P_max/(n+1) ||w_c^H H||^2; interference from the other gNBs is exact
+        already (their precoders do not change on a tentative add).
+        """
+        vecs = {g: self.inter_vec(ue, g) for g in range(self.inputs.n_gnbs)
+                if self.states[g] is not None}
+        total = sum(vecs.values())
+        bounds = []
+        for b in bpls:
+            inter = 0.0
+            if vecs:
+                inter = float(total[b.ue_beam])
+                if b.gnb in vecs:
+                    inter -= float(vecs[b.gnb][b.ue_beam])
+            share = len(self.per_gnb[b.gnb]) + 1
+            bounds.append(self.snr_bound(ue, b.gnb, b.ue_beam) / share
+                          * self.noise / (self.noise + inter))
+        return bounds
 
     def sinr_lin(self, ue: int) -> float:
         denom = self.intra[ue] + sum(self.inter.get(ue, {}).values()) + self.noise
@@ -247,52 +280,65 @@ class _Engine:
         self.serving[bpl.ue] = bpl
         self.per_gnb[bpl.gnb].append(bpl.ue)
 
-    def try_candidate(self, bpl: BeamPairLink,
-                      check_network_wide: bool) -> Optional[float]:
+    def try_candidate(self, bpl: BeamPairLink, check_network_wide: bool,
+                      floor: float) -> Optional[float]:
         """Tentatively allocate, check the coverage constraint, roll back.
 
-        Returns the candidate's own linear SINR when no checked UE would be
-        degraded below the threshold, else None.  Only the state the rebuild
-        touches is saved and restored, keeping candidate scans cheap.
+        Returns the candidate's own linear SINR when it beats ``floor`` and
+        no checked UE would be degraded below the threshold, else None.  The
+        checks run in stages, each only if the one before passes: the
+        candidate itself, then its gNB's other members, then (network-wide)
+        every other served UE, once the interference the rebuilt gNB causes
+        them is refreshed.  Only the state the stages touch is saved and
+        restored, keeping candidate scans cheap.
         """
         if not self.capacity_ok(bpl):
             return None
         g, ue = bpl.gnb, bpl.ue
-        old_state = self.states[g]
+        thresh = self.sinr_min_lin
+        old_state, old_version = self.states[g], self._version[g]
         old_members = list(self.per_gnb[g])
         old_si = {u: (self.sig[u], self.intra[u]) for u in old_members}
         missing = object()
-        old_inter_g = ({u: self.inter.get(u, {}).get(g, missing)
-                        for u in self.serving} if check_network_wide else None)
+        old_inter_g = {}
         try:
             self._add(bpl)
-            self.rebuild(g, update_others=check_network_wide)
+            self.rebuild(g, update_others=False)
             self.init_inter(ue)
-            checked = (list(self.serving) if check_network_wide
-                       else list(self.per_gnb[g]))
             own = self.sinr_lin(ue)
-            ok = all(self.sinr_lin(u) >= self.sinr_min_lin for u in checked)
-            return own if ok else None
+            # the caller keeps only a feasible candidate above its incumbent
+            if own < thresh or own <= floor:
+                return None
+            if any(self.sinr_lin(u) < thresh for u in old_members):
+                return None
+            if check_network_wide:
+                others = self._others(g)
+                old_inter_g = {u: self.inter.get(u, {}).get(g, missing)
+                               for u in others}
+                self.refresh_others(g)
+                if any(self.sinr_lin(u) < thresh for u in others):
+                    return None
+            return own
         except (RankDeficiencyError, CapacityError):
             return None
         finally:
             self.serving.pop(ue, None)
             self.per_gnb[g] = old_members
-            self.states[g] = old_state
+            # the tentative precoder fed no inter_vec memo entry (init_inter
+            # skips the candidate's own gNB), so the old version's entries
+            # still describe the restored state
+            self.states[g], self._version[g] = old_state, old_version
             self.sig.pop(ue, None)
             self.intra.pop(ue, None)
             self.inter.pop(ue, None)
             for u, (s, i) in old_si.items():
                 self.sig[u] = s
                 self.intra[u] = i
-            if old_inter_g is not None:
-                for u, v in old_inter_g.items():
-                    if u == ue:
-                        continue
-                    if v is missing:
-                        self.inter.get(u, {}).pop(g, None)
-                    else:
-                        self.inter.setdefault(u, {})[g] = v
+            for u, v in old_inter_g.items():
+                if v is missing:
+                    self.inter.get(u, {}).pop(g, None)
+                else:
+                    self.inter.setdefault(u, {})[g] = v
 
     def commit(self, bpl: BeamPairLink) -> bool:
         """Allocate for real; returns False (state unchanged) on rank failure."""
@@ -421,33 +467,21 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
                                  initial.get(ue, -1), inputs.cfg.n_csi_rs)
         best_bpl = None
         best_sinr = -math.inf
-        # Upper-bound each candidate's achievable SINR: signal power is at
-        # most P_max ||w_c^H H||^2, and interference from the other gNBs is
-        # exact already (their precoders do not change on a tentative add).
         # Scanning in descending bound order lets the loop stop as soon as
         # no remaining candidate can beat the incumbent or the threshold.
-        vecs = {g: engine.inter_vec(ue, g) for g in range(inputs.n_gnbs)
-                if engine.states[g] is not None}
-        total = sum(vecs.values())
-        bounds = []
-        for b in cands.bpls:
-            inter = 0.0
-            if vecs:
-                inter = float(total[b.ue_beam])
-                if b.gnb in vecs:
-                    inter -= float(vecs[b.gnb][b.ue_beam])
-            bounds.append(engine.snr_bound(ue, b.gnb, b.ue_beam)
-                          * engine.noise / (engine.noise + inter))
-        order = sorted(range(len(cands.bpls)), key=lambda i: -bounds[i])
+        bpls = [b for b in cands.bpls if engine.capacity_ok(b)]
+        bounds = engine.candidate_bounds(ue, bpls)
+        order = sorted(range(len(bpls)), key=lambda i: -bounds[i])
         for i in order:
-            bpl, bound = cands.bpls[i], bounds[i]
+            bpl, bound = bpls[i], bounds[i]
             if bound < engine.sinr_min_lin or bound <= best_sinr:
                 break
-            own = engine.try_candidate(bpl, check_network_wide=network_wide)
-            if own is not None and own > best_sinr:
+            own = engine.try_candidate(bpl, check_network_wide=network_wide,
+                                       floor=best_sinr)
+            if own is not None:
                 best_sinr = own
                 best_bpl = bpl
-        if best_bpl is not None and best_sinr >= engine.sinr_min_lin:
+        if best_bpl is not None:
             engine.commit(best_bpl)
     _enforce_coverage(engine, inputs)
     return engine.to_allocation(mode, initial)

@@ -287,6 +287,15 @@ def ingest_paths(trace_file: str, n_gnbs: Optional[int] = None,
     return result
 
 
+def _panel_steering(ok: np.ndarray, n_h: int, n_v: int, loc_az: np.ndarray,
+                    el: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steering vectors of the paths one panel admits (mask ``ok``), and
+    each path's column among them (valid where ``ok``)."""
+    idx = np.nonzero(ok)[0]
+    return (_ura_steering_many(n_h, n_v, D_OVER_LAMBDA, loc_az[idx], el[idx]),
+            np.cumsum(ok) - 1)
+
+
 def assemble_channel(paths, cfg: NetworkConfig,
                      gnb_orientations: np.ndarray,
                      ue_orientations: np.ndarray) -> MultiPanelChannel:
@@ -295,7 +304,9 @@ def assemble_channel(paths, cfg: NetworkConfig,
     Each path enters block (p, q) only if its local azimuth lies within +-45
     deg of both panels' boresights and its elevations within +-45 deg (panels
     have no back lobe).  Blocks use the geometric-channel normalization with
-    the block's own surviving path count.
+    the block's own surviving path count.  A path's steering vector depends
+    on one panel only, so each panel's is built once and every block takes
+    its columns from them.
     """
     n_t, n_r = cfg.n_t, cfg.n_r
     nh_t, nv_t = panel_grid(n_t)
@@ -311,23 +322,31 @@ def assemble_channel(paths, cfg: NetworkConfig,
         gains = np.array([p.gain for p in paths], dtype=complex)
         bounce = np.array([p.bounces for p in paths])
 
+        # only paths some UE panel admits can enter a block
+        ue_side = {}    # UE panel -> (admitted mask, steering, columns)
+        ue_any = np.zeros(len(paths), dtype=bool)
         for p in range(4):
             loc_aoa = wrap_angle_deg(aoa_az - ue_orientations[p])
-            ue_ok = (np.abs(loc_aoa) <= PANEL_HALF_WIDTH_DEG) & \
-                    (np.abs(aoa_el) <= PANEL_HALF_WIDTH_DEG)
-            if not ue_ok.any():
+            ok = (np.abs(loc_aoa) <= PANEL_HALF_WIDTH_DEG) & \
+                (np.abs(aoa_el) <= PANEL_HALF_WIDTH_DEG)
+            if ok.any():
+                ue_side[p] = (ok, *_panel_steering(ok, nh_r, nv_r, loc_aoa,
+                                                   aoa_el))
+                ue_any |= ok
+        for q in range(4):
+            loc_aod = wrap_angle_deg(aod_az - gnb_orientations[q])
+            gnb_ok = ue_any & (np.abs(loc_aod) <= PANEL_HALF_WIDTH_DEG) & \
+                (np.abs(aod_el) <= PANEL_HALF_WIDTH_DEG)
+            if not gnb_ok.any():
                 continue
-            for q in range(4):
-                loc_aod = wrap_angle_deg(aod_az - gnb_orientations[q])
-                sel = ue_ok & (np.abs(loc_aod) <= PANEL_HALF_WIDTH_DEG) & \
-                    (np.abs(aod_el) <= PANEL_HALF_WIDTH_DEG)
-                idx = np.nonzero(sel)[0]
+            a_t_q, col_t = _panel_steering(gnb_ok, nh_t, nv_t, loc_aod, aod_el)
+            for p, (ue_ok, a_r_p, col_r) in ue_side.items():
+                idx = np.nonzero(ue_ok & gnb_ok)[0]
                 if len(idx) == 0:
                     continue
-                a_r = _ura_steering_many(nh_r, nv_r, D_OVER_LAMBDA,
-                                         loc_aoa[idx], aoa_el[idx])
-                a_t = _ura_steering_many(nh_t, nv_t, D_OVER_LAMBDA,
-                                         loc_aod[idx], aod_el[idx])
+                # take() keeps the C order the per-block steering had
+                a_r = a_r_p.take(col_r[idx], axis=1)
+                a_t = a_t_q.take(col_t[idx], axis=1)
                 scale = math.sqrt(n_r * n_t / len(idx))
                 blocks[p, q] = scale * (a_r * gains[idx]) @ a_t.conj().T
                 dom = idx[np.argmax(np.abs(gains[idx]))]

@@ -41,7 +41,7 @@ def rf_stage(serving_bpls: list, gnb_book: FullCodebook,
                 f"panel {p} would serve {count} UEs with only {n_rf_sec} RF chains")
     if not serving_bpls:
         raise CapacityError("RF stage needs at least one served UE")
-    return np.column_stack([gnb_book.matrix[:, b.gnb_beam] for b in serving_bpls])
+    return gnb_book.matrix.take([b.gnb_beam for b in serving_bpls], axis=1)
 
 
 def _right_pinv(aggregate: np.ndarray, ues: list) -> np.ndarray:

@@ -18,7 +18,7 @@ from mmwsim.codebook import default_full_codebook
 from mmwsim.errors import CapacityError, GuardRailError, RankDeficiencyError
 from mmwsim.metrics import evaluate_allocation, network_report, throughput
 from mmwsim.precoder import compose, rf_stage, zf_stage
-from mmwsim.runner import prepare_realization
+from mmwsim.runner import desk_scale_config, prepare_realization
 from mmwsim.scenario import NetworkConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -372,14 +372,14 @@ def test_oracle_dominates_heuristics(tiny_cfg):
 
 def _count_precoder_builds(monkeypatch) -> list:
     """Record the (gnb, ((ue, gnb_beam, ue_beam), ...)) key of every
-    precoder the oracle builds, in call order."""
+    precoder an allocator builds, in call order."""
     keys = []
     build = allocation.gnb_precoder_state
 
-    def counted(inputs, gnb, ues, serving, **kwargs):
+    def counted(inputs, gnb, ues, serving, *args, **kwargs):
         keys.append((gnb, tuple((u, serving[u].gnb_beam, serving[u].ue_beam)
                                 for u in ues)))
-        return build(inputs, gnb, ues, serving, **kwargs)
+        return build(inputs, gnb, ues, serving, *args, **kwargs)
 
     monkeypatch.setattr(allocation, "gnb_precoder_state", counted)
     return keys
@@ -522,6 +522,176 @@ def test_oracle_builds_each_gnb_sub_assignment_once(monkeypatch):
         (g, tuple((u, alloc.serving[u].gnb_beam, alloc.serving[u].ue_beam)
                   for u in ues)) for g, ues in alloc.per_gnb.items())
     assert set(rebuilt) <= set(search)
+
+
+# -- IABA candidate scan --------------------------------------------------------
+
+class _UnprunedEngine(allocation._Engine):
+    """The engine with the unstaged tentative add: every candidate refreshes
+    its gNB's interference on the whole network before any check."""
+
+    def rebuild(self, gnb, update_others):
+        self._version[gnb] += 1
+        ues = self.per_gnb[gnb]
+        if not ues:
+            self.states[gnb] = None
+            for u in self.serving:
+                self.inter.get(u, {}).pop(gnb, None)
+            return
+        state = allocation.gnb_precoder_state(self.inputs, gnb, ues,
+                                              self.serving, self.use_dbf)
+        self.states[gnb] = state
+        rows = np.vstack([self._row(u, gnb) for u in ues])
+        powers = state.p_per_ue * allocation.column_powers(
+            rows, state.w_combined)
+        sums = powers.sum(axis=1)
+        for i, u in enumerate(ues):
+            self.sig[u] = float(powers[i, i])
+            self.intra[u] = float(sums[i] - powers[i, i])
+            self.inter.setdefault(u, {}).pop(gnb, None)
+        if update_others:
+            others = [u for u in self.serving if self.serving[u].gnb != gnb]
+            if others:
+                rows_o = np.vstack([self._row(u, gnb) for u in others])
+                contrib = (state.p_per_ue * allocation.column_powers(
+                    rows_o, state.w_combined)).sum(axis=1)
+                for u, c in zip(others, contrib):
+                    self.inter.setdefault(u, {})[gnb] = float(c)
+
+    def try_candidate(self, bpl, check_network_wide):
+        if not self.capacity_ok(bpl):
+            return None
+        g, ue = bpl.gnb, bpl.ue
+        old_state = self.states[g]
+        old_members = list(self.per_gnb[g])
+        old_si = {u: (self.sig[u], self.intra[u]) for u in old_members}
+        missing = object()
+        old_inter_g = ({u: self.inter.get(u, {}).get(g, missing)
+                        for u in self.serving} if check_network_wide else None)
+        try:
+            self._add(bpl)
+            self.rebuild(g, update_others=check_network_wide)
+            self.init_inter(ue)
+            checked = (list(self.serving) if check_network_wide
+                       else list(self.per_gnb[g]))
+            own = self.sinr_lin(ue)
+            ok = all(self.sinr_lin(u) >= self.sinr_min_lin for u in checked)
+            return own if ok else None
+        except (RankDeficiencyError, CapacityError):
+            return None
+        finally:
+            self.serving.pop(ue, None)
+            self.per_gnb[g] = old_members
+            self.states[g] = old_state
+            self.sig.pop(ue, None)
+            self.intra.pop(ue, None)
+            self.inter.pop(ue, None)
+            for u, (s, i) in old_si.items():
+                self.sig[u] = s
+                self.intra[u] = i
+            if old_inter_g is not None:
+                for u, v in old_inter_g.items():
+                    if u == ue:
+                        continue
+                    if v is missing:
+                        self.inter.get(u, {}).pop(g, None)
+                    else:
+                        self.inter.setdefault(u, {})[g] = v
+
+
+def _unpruned_iaba(inputs, mode):
+    """dIABA/cIABA with the P_max SINR bound (no power share) and the
+    unstaged tentative add."""
+    network_wide = mode is AllocMode.CIABA
+    engine = _UnprunedEngine(inputs, use_dbf=False)
+    initial = _initial_gnbs(inputs.sweeps)
+    for ue in allocation._ue_order(inputs.sweeps):
+        cands = build_candidates(ue, inputs.sweeps[ue], mode,
+                                 initial.get(ue, -1), inputs.cfg.n_csi_rs)
+        best_bpl = None
+        best_sinr = -math.inf
+        vecs = {g: engine.inter_vec(ue, g) for g in range(inputs.n_gnbs)
+                if engine.states[g] is not None}
+        total = sum(vecs.values())
+        bounds = []
+        for b in cands.bpls:
+            inter = 0.0
+            if vecs:
+                inter = float(total[b.ue_beam])
+                if b.gnb in vecs:
+                    inter -= float(vecs[b.gnb][b.ue_beam])
+            bounds.append(engine.snr_bound(ue, b.gnb, b.ue_beam)
+                          * engine.noise / (engine.noise + inter))
+        order = sorted(range(len(cands.bpls)), key=lambda i: -bounds[i])
+        for i in order:
+            bpl, bound = cands.bpls[i], bounds[i]
+            if bound < engine.sinr_min_lin or bound <= best_sinr:
+                break
+            own = engine.try_candidate(bpl, check_network_wide=network_wide)
+            if own is not None and own > best_sinr:
+                best_sinr = own
+                best_bpl = bpl
+        if best_bpl is not None and best_sinr >= engine.sinr_min_lin:
+            engine.commit(best_bpl)
+    allocation._enforce_coverage(engine, inputs)
+    return engine.to_allocation(mode, initial)
+
+
+def _desk_inputs():
+    """Desk realization of the acceptance ordering profile: 76 UEs on 4
+    gNBs; cIABA fills a gNB with 16 UEs, and some of its candidates fail
+    only on another gNB's UEs."""
+    cfg = desk_scale_config(n_ue_hotspots=12, hotspot_fraction=1.0,
+                            hotspot_radius_m=3.0)
+    inputs = prepare_realization(cfg, 3).inputs
+    assert inputs.n_ues > 60
+    return inputs
+
+
+def test_iaba_matches_unpruned_reference():
+    cases = [_tiny_inputs(seed, r) for seed, r in TINY_ORACLE_CASES]
+    cases += [small_instance(seed) for seed in range(4)]
+    cases.append(_desk_inputs())
+    full_gnb = False
+    for inputs in cases:
+        for mode in (AllocMode.DIABA, AllocMode.CIABA):
+            got = allocate_iaba(inputs, mode)
+            _assert_same_allocation(got, _unpruned_iaba(inputs, mode))
+            full_gnb |= any(len(ues) == inputs.cfg.n_rf_gnb
+                            for ues in got.per_gnb.values())
+    assert full_gnb
+
+
+def test_iaba_bound_holds_and_prunes(monkeypatch):
+    inputs = _desk_inputs()
+    bounds, checked = {}, []
+    candidate_bounds = allocation._Engine.candidate_bounds
+    try_candidate = allocation._Engine.try_candidate
+
+    def recorded(self, ue, bpls):
+        out = candidate_bounds(self, ue, bpls)
+        bounds.update(zip(bpls, out))
+        return out
+
+    def watched(self, bpl, *args, **kwargs):
+        own = try_candidate(self, bpl, *args, **kwargs)
+        if own is not None:
+            checked.append((own, bounds[bpl]))
+        return own
+
+    monkeypatch.setattr(allocation._Engine, "candidate_bounds", recorded)
+    monkeypatch.setattr(allocation._Engine, "try_candidate", watched)
+    keys = _count_precoder_builds(monkeypatch)
+    for mode in (AllocMode.DIABA, AllocMode.CIABA):
+        bounds.clear()
+        del keys[:]
+        allocate_iaba(inputs, mode)
+        assert checked and all(own <= bound for own, bound in checked)
+        del checked[:]
+        n_pruned = len(keys)
+        del keys[:]
+        _unpruned_iaba(inputs, mode)
+        assert n_pruned < len(keys)
 
 
 # -- CBF SU-MIMO TDMA ----------------------------------------------------------

@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mmwsim.channel import (MultiPanelChannel, PropagationPath,
-                            _expand_clusters, assemble_channel, direction_deg,
-                            fspl_db, ingest_paths, pair_rng, panel_grid,
+from mmwsim.channel import (D_OVER_LAMBDA, PANEL_HALF_WIDTH_DEG,
+                            MultiPanelChannel, PropagationPath,
+                            _expand_clusters, _ura_steering_many,
+                            assemble_channel, direction_deg, fspl_db,
+                            ingest_paths, pair_rng, panel_grid,
                             synthesize_paths, ula_steering, ura_steering,
                             wrap_angle_deg)
+from mmwsim.codebook import estimation_grid
+from mmwsim.csi import quantize_paths
 from mmwsim.errors import TraceParseError, TraceReferenceError
 from mmwsim.runner import desk_scale_config
 from mmwsim.scenario import NetworkConfig, generate_deployment
@@ -205,6 +209,67 @@ def test_expand_clusters_equals_per_subpath_expansion():
                                            cfg)
             n_rays += len(got)
     assert n_rays > 0
+
+
+def _assemble_per_block(paths, cfg, gnb_orientations, ue_orientations):
+    """Block assembly that builds both steering matrices of every (UE
+    panel, gNB panel) block from that block's own paths."""
+    n_t, n_r = cfg.n_t, cfg.n_r
+    nh_t, nv_t = panel_grid(n_t)
+    nh_r, nv_r = panel_grid(n_r)
+    blocks = np.zeros((4, 4, n_r, n_t), dtype=complex)
+    dominant = np.full((4, 4), -1, dtype=int)
+    aod_az = np.array([p.aod_az_deg for p in paths])
+    aod_el = np.array([p.aod_el_deg for p in paths])
+    aoa_az = np.array([p.aoa_az_deg for p in paths])
+    aoa_el = np.array([p.aoa_el_deg for p in paths])
+    gains = np.array([p.gain for p in paths], dtype=complex)
+    bounce = np.array([p.bounces for p in paths])
+    for p in range(4):
+        loc_aoa = wrap_angle_deg(aoa_az - ue_orientations[p])
+        ue_ok = (np.abs(loc_aoa) <= PANEL_HALF_WIDTH_DEG) & \
+                (np.abs(aoa_el) <= PANEL_HALF_WIDTH_DEG)
+        if not ue_ok.any():
+            continue
+        for q in range(4):
+            loc_aod = wrap_angle_deg(aod_az - gnb_orientations[q])
+            sel = ue_ok & (np.abs(loc_aod) <= PANEL_HALF_WIDTH_DEG) & \
+                (np.abs(aod_el) <= PANEL_HALF_WIDTH_DEG)
+            idx = np.nonzero(sel)[0]
+            if len(idx) == 0:
+                continue
+            a_r = _ura_steering_many(nh_r, nv_r, D_OVER_LAMBDA,
+                                     loc_aoa[idx], aoa_el[idx])
+            a_t = _ura_steering_many(nh_t, nv_t, D_OVER_LAMBDA,
+                                     loc_aod[idx], aod_el[idx])
+            scale = math.sqrt(n_r * n_t / len(idx))
+            blocks[p, q] = scale * (a_r * gains[idx]) @ a_t.conj().T
+            dom = idx[np.argmax(np.abs(gains[idx]))]
+            dominant[p, q] = bounce[dom]
+    return blocks, dominant
+
+
+def test_assemble_channel_matches_per_block_steering():
+    # every gNB-UE pair of a desk realization, with its exact and its
+    # quantized paths: per-panel steering gives every block bit for bit
+    cfg = desk_scale_config(n_realizations=1)
+    dep = generate_deployment(cfg, 0)
+    grid = estimation_grid(6)
+    n_blocks = 0
+    for g in range(dep.n_gnbs):
+        for u in range(dep.n_ues):
+            plist = synthesize_paths(dep, g, u, pair_rng(cfg, 0, g, u), cfg)
+            if not plist:
+                continue
+            for paths in (plist, quantize_paths(plist, grid)):
+                args = (paths, cfg, dep.gnb_panel_orientations[g],
+                        dep.ue_panel_orientations[u])
+                ch = assemble_channel(*args)
+                blocks, dominant = _assemble_per_block(*args)
+                assert np.array_equal(ch.blocks, blocks)
+                assert np.array_equal(ch.block_dominant_bounces, dominant)
+                n_blocks += int((dominant >= 0).sum())
+    assert n_blocks > 0
 
 
 def test_pair_rng_streams_independent():
