@@ -59,7 +59,8 @@ class AllocationInputs:
     n_ues: int
     sweeps: dict                     # ue -> beamsweep.Sweep
     true_rows: dict                  # (ue, gnb) -> R = W_ue^H H, see metrics.Rows
-    est_rows: dict                   # same, against the estimated channels
+    est_rows: dict                   # same, against the estimated channels;
+                                     # a pair may be built on first read
     gnb_book: FullCodebook
 
 

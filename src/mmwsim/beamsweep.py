@@ -73,26 +73,26 @@ class Sweep:
             for k in ("rsrp", "gnb", "gnb_beam", "ue_beam", "is_los"))
 
 
-def sweep(ue: int, channels: dict, rows: dict, gnb_book: FullCodebook,
+def sweep(ue: int, bounces: dict, rows: dict, gnb_book: FullCodebook,
           ue_book: FullCodebook, p_ssb: float, noise_w: float,
           detection_floor_db: float = -10.0) -> Sweep:
     """Exhaustive sweep over all gNBs and beam pairs for one UE.
 
-    ``channels`` maps gNB -> channel (None when the pair has no paths) and
-    ``rows`` maps gNB -> the pair's combined rows R.  Returns every beam pair
-    whose rsrp clears the detection floor (relative to noise), sorted by
-    descending rsrp with deterministic tie-breaking.
+    ``bounces`` maps gNB -> the pair's 4x4 dominant-bounce table
+    (``MultiPanelChannel.block_dominant_bounces``; None when the pair has no
+    paths) and ``rows`` maps gNB -> the pair's combined rows R.  Returns
+    every beam pair whose rsrp clears the detection floor (relative to
+    noise), sorted by descending rsrp with deterministic tie-breaking.
     """
     floor_w = noise_w * 10 ** (detection_floor_db / 10.0)
     parts = []
-    for gnb in sorted(channels):
-        ch = channels[gnb]
-        if ch is None:
+    for gnb in sorted(bounces):
+        dominant = bounces[gnb]
+        if dominant is None:
             continue
         table = rsrp_table(rows[gnb], gnb_book, p_ssb)
         ub, gb = np.nonzero(table >= floor_w)
-        los = ch.block_dominant_bounces[ue_book.panel[ub],
-                                        gnb_book.panel[gb]] == 0
+        los = dominant[ue_book.panel[ub], gnb_book.panel[gb]] == 0
         parts.append((table[ub, gb], np.full(len(ub), gnb), gb, ub, los))
     if not parts:
         empty = np.empty(0, dtype=int)

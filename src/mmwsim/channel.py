@@ -111,7 +111,6 @@ class MultiPanelChannel:
     """
 
     blocks: np.ndarray               # (4, 4, n_r, n_t) complex
-    exact_paths: list
     block_dominant_bounces: np.ndarray  # (4, 4) int; -1 where block is empty
 
     @property
@@ -352,8 +351,7 @@ def assemble_channel(paths, cfg: NetworkConfig,
                 dom = idx[np.argmax(np.abs(gains[idx]))]
                 dominant[p, q] = bounce[dom]
 
-    return MultiPanelChannel(blocks=blocks, exact_paths=list(paths),
-                             block_dominant_bounces=dominant)
+    return MultiPanelChannel(blocks=blocks, block_dominant_bounces=dominant)
 
 
 def pair_rng(cfg: NetworkConfig, realization_id: int, gnb: int,

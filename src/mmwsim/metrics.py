@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precoder import GnbPrecoderState
 from .scenario import NetworkConfig
 
 # (ue, gnb) -> R = W_ue^H H_{ue,gnb}, (n_ue_beams, 4 n_t) complex: the
@@ -46,40 +45,6 @@ def column_powers(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """|R @ W|^2 entrywise; the common kernel of every power metric."""
     m = rows @ w
     return m.real ** 2 + m.imag ** 2
-
-
-def rss(combiner: np.ndarray, true_channel, state: GnbPrecoderState,
-        ue: int) -> float:
-    """Received signal strength P_i |w_c^H H w_p,i|^2 on the true channel."""
-    i = state.served.index(ue)
-    row = combiner.conj() @ true_channel.full()
-    return float(state.p_per_ue * column_powers(row[None, :],
-                                                state.w_combined)[0, i])
-
-
-def intra_interference(combiner: np.ndarray, true_channel,
-                       state: GnbPrecoderState, ue: int) -> float:
-    """Power leaked into this UE by co-scheduled columns (own column excluded)."""
-    i = state.served.index(ue)
-    row = combiner.conj() @ true_channel.full()
-    powers = column_powers(row[None, :], state.w_combined)[0]
-    return float(state.p_per_ue * (np.sum(powers) - powers[i]))
-
-
-def inter_interference(combiner: np.ndarray, true_channels: dict,
-                       all_states: dict, serving_gnb: int) -> float:
-    """Incoherent power sum over all non-serving gNBs' precoder columns."""
-    total = 0.0
-    for g, state in all_states.items():
-        if g == serving_gnb or state is None:
-            continue
-        ch = true_channels.get(g)
-        if ch is None:
-            continue
-        row = combiner.conj() @ ch.full()
-        total += state.p_per_ue * float(np.sum(
-            column_powers(row[None, :], state.w_combined)))
-    return total
 
 
 def throughput(sinr_db: float, cfg: NetworkConfig) -> float:

@@ -16,7 +16,7 @@ from .allocation import (Allocation, AllocationInputs, AllocMode, allocate,
                          allocate_cbf_tdma)
 from .beamsweep import combined_rows, sweep
 from .channel import assemble_channel, ingest_paths, pair_rng, synthesize_paths
-from .codebook import FullCodebook, default_full_codebook, estimation_grid
+from .codebook import default_full_codebook, estimation_grid
 from .csi import quantize_paths
 from .metrics import network_report, summarize
 from .scenario import Deployment, NetworkConfig, generate_deployment
@@ -91,67 +91,84 @@ class RealizationContext:
     inputs: AllocationInputs
 
 
-def row_matrices(channels: dict, ue_book: FullCodebook, n_t: int,
-                 n_gnbs: int, n_ues: int) -> dict:
-    """(ue, gnb) -> R = W_ue^H H for every pair, from (gnb, ue) channels.
+class LazyRows(dict):
+    """(ue, gnb) -> R, where a pair missing on read is built by
+    ``build(ue, gnb)`` and kept."""
 
-    A pair without a channel gets one shared read-only all-zero R, so the
-    sweep, the allocators and the reports read every pair alike.
-    """
-    zero = np.zeros((ue_book.n_beams, 4 * n_t), dtype=complex)
-    zero.flags.writeable = False
-    return {(u, g): (combined_rows(channels[(g, u)], ue_book)
-                     if (g, u) in channels else zero)
-            for u in range(n_ues) for g in range(n_gnbs)}
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        rows = self[key] = self.build(*key)
+        return rows
 
 
-def build_inputs(cfg: NetworkConfig, n_gnbs: int, n_ues: int,
-                 channels: dict, est_channels: Optional[dict] = None
-                 ) -> AllocationInputs:
-    """Codebooks, row matrices and beam sweeps over assembled channels.
+def build_inputs(cfg: NetworkConfig, n_gnbs: int, n_ues: int, paths: dict,
+                 gnb_orientations, ue_orientations) -> AllocationInputs:
+    """Codebooks, row matrices and beam sweeps from (gnb, ue) -> path lists.
 
-    ``channels`` maps (gnb, ue) -> MultiPanelChannel for the pairs with
-    paths; ``est_channels`` holds their estimates, None for exact CSI.
+    Each pair's channel is assembled, reduced to its rows R = W_ue^H H and
+    dominant-bounce table, and dropped.  A pair without paths gets one
+    shared read-only all-zero R, so the sweep, the allocators and the
+    reports read every pair alike.  Under quantized CSI a UE reports
+    estimates only for the gNBs of the BPLs it monitors: a pair's estimated
+    rows are built from its quantized paths on first read.  Each value
+    depends on its pair's paths alone, so the order of reads moves no bit.
     """
     # codebooks do not depend on panel orientation: one book per node type
     gnb_book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
     ue_book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
-    true_rows = row_matrices(channels, ue_book, cfg.n_t, n_gnbs, n_ues)
-    sweeps = {}
+    zero = np.zeros((ue_book.n_beams, 4 * cfg.n_t), dtype=complex)
+    zero.flags.writeable = False
+
+    # assemble_channel and quantize_paths are looked up in this module at
+    # call time, so the layer timers of perfbench/tracing.py see every call
+    def channel(plist, g, u):
+        return assemble_channel(plist, cfg, gnb_orientations[g],
+                                ue_orientations[u])
+
+    true_rows, sweeps = {}, {}
     for u in range(n_ues):
+        bounces = {}
+        for g in range(n_gnbs):
+            plist = paths.get((g, u))
+            if plist:
+                ch = channel(plist, g, u)
+                true_rows[(u, g)] = combined_rows(ch, ue_book)
+                bounces[g] = ch.block_dominant_bounces
+            else:
+                true_rows[(u, g)] = zero
+                bounces[g] = None
         sweeps[u] = sweep(
-            u, {g: channels.get((g, u)) for g in range(n_gnbs)},
-            {g: true_rows[(u, g)] for g in range(n_gnbs)}, gnb_book, ue_book,
-            cfg.p_max_w, cfg.noise_w, cfg.detection_floor_db)
-    est_rows = true_rows if est_channels is None else row_matrices(
-        est_channels, ue_book, cfg.n_t, n_gnbs, n_ues)
+            u, bounces, {g: true_rows[(u, g)] for g in range(n_gnbs)},
+            gnb_book, ue_book, cfg.p_max_w, cfg.noise_w,
+            cfg.detection_floor_db)
+
+    grid = estimation_grid(cfg.n_q_csi_bits)
+    if grid.is_exact:
+        est_rows = true_rows
+    else:
+        def estimate(u, g):
+            if (u, g) not in true_rows:
+                raise KeyError((u, g))
+            plist = paths.get((g, u))
+            if not plist:
+                return zero
+            return combined_rows(channel(quantize_paths(plist, grid), g, u),
+                                 ue_book)
+        est_rows = LazyRows(estimate)
     return AllocationInputs(cfg=cfg, n_gnbs=n_gnbs, n_ues=n_ues,
                             sweeps=sweeps, true_rows=true_rows,
                             est_rows=est_rows, gnb_book=gnb_book)
 
 
 def prepare_realization(cfg: NetworkConfig, realization: int) -> RealizationContext:
-    """Deploy, synthesize channels, run the beam sweep, build row matrices."""
+    """Deploy, synthesize paths, build the true rows and run the beam sweep."""
     dep = generate_deployment(cfg, realization)
-    paths = _pair_paths(cfg, dep)
-
-    channels = {}
-    for (g, u), plist in paths.items():
-        if plist:
-            channels[(g, u)] = assemble_channel(
-                plist, cfg, dep.gnb_panel_orientations[g],
-                dep.ue_panel_orientations[u])
-
-    grid = estimation_grid(cfg.n_q_csi_bits)
-    est_channels = None
-    if not grid.is_exact:
-        est_channels = {}
-        for (g, u), ch in channels.items():
-            qpaths = quantize_paths(ch.exact_paths, grid)
-            est_channels[(g, u)] = assemble_channel(
-                qpaths, cfg, dep.gnb_panel_orientations[g],
-                dep.ue_panel_orientations[u])
-    inputs = build_inputs(cfg, dep.n_gnbs, dep.n_ues, channels, est_channels)
+    inputs = build_inputs(cfg, dep.n_gnbs, dep.n_ues, _pair_paths(cfg, dep),
+                          dep.gnb_panel_orientations,
+                          dep.ue_panel_orientations)
     return RealizationContext(dep=dep, inputs=inputs)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmwsim.allocation import AllocationInputs
-from mmwsim.channel import PropagationPath, assemble_channel
+from mmwsim.channel import PropagationPath
 from mmwsim.runner import build_inputs
 from mmwsim.scenario import NetworkConfig
 
@@ -23,10 +23,11 @@ def path(gain, aod_az, aoa_az, aod_el=0.0, aoa_el=0.0, bounces=0,
 
 def make_inputs(cfg: NetworkConfig, paths_by_pair: dict, n_gnbs: int,
                 n_ues: int) -> AllocationInputs:
-    """AllocationInputs (exact CSI) from explicit (gnb, ue) -> path lists."""
-    channels = {(g, u): assemble_channel(plist, cfg, ORIENT, ORIENT)
-                for (g, u), plist in paths_by_pair.items() if plist}
-    return build_inputs(cfg, n_gnbs, n_ues, channels)
+    """AllocationInputs from explicit (gnb, ue) -> path lists, every panel
+    of every node at ORIENT; quantized CSI when ``cfg.n_q_csi_bits`` is
+    finite, as in a campaign."""
+    return build_inputs(cfg, n_gnbs, n_ues, paths_by_pair, [ORIENT] * n_gnbs,
+                        [ORIENT] * n_ues)
 
 
 def small_instance(seed: int) -> AllocationInputs:

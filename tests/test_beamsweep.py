@@ -14,13 +14,22 @@ def _channel(cfg, paths):
     return assemble_channel(paths, cfg, ORIENT, ORIENT)
 
 
-def _sweep(cfg, channels, detection_floor_db=-10.0):
-    """Sweep UE 0 over gNB -> channel (or None) with the shared codebooks."""
+def _sweep_inputs(cfg, channels):
+    """The sweep's inputs from gNB -> channel (or None): the shared codebooks,
+    gNB -> dominant-bounce table (or None) and gNB -> combined rows R."""
     gbook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
     ubook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
+    bounces = {g: None if ch is None else ch.block_dominant_bounces
+               for g, ch in channels.items()}
     rows = {g: combined_rows(ch, ubook) for g, ch in channels.items()
             if ch is not None}
-    return sweep(0, channels, rows, gbook, ubook, cfg.p_max_w, cfg.noise_w,
+    return gbook, ubook, bounces, rows
+
+
+def _sweep(cfg, channels, detection_floor_db=-10.0):
+    """Sweep UE 0 over gNB -> channel (or None)."""
+    gbook, ubook, bounces, rows = _sweep_inputs(cfg, channels)
+    return sweep(0, bounces, rows, gbook, ubook, cfg.p_max_w, cfg.noise_w,
                  detection_floor_db)
 
 
@@ -107,20 +116,19 @@ def test_initial_association(small_cfg):
 
 def _brute_force_sweep(cfg, channels, detection_floor_db=-10.0):
     """Every above-floor (UE beam, gNB beam) entry of every pair, as
-    BeamPairLinks sorted by (-rsrp, gnb, gnb_beam, ue_beam)."""
-    gbook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
-    ubook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
+    BeamPairLinks sorted by (-rsrp, gnb, gnb_beam, ue_beam), from the
+    sweep's own inputs."""
+    gbook, ubook, bounces, rows = _sweep_inputs(cfg, channels)
     floor = cfg.noise_w * 10 ** (detection_floor_db / 10.0)
     entries = []
-    for g, ch in channels.items():
-        if ch is None:
+    for g, dominant in bounces.items():
+        if dominant is None:
             continue
-        table = rsrp_table(combined_rows(ch, ubook), gbook, cfg.p_max_w)
+        table = rsrp_table(rows[g], gbook, cfg.p_max_w)
         for ub in range(ubook.n_beams):
             for gb in range(gbook.n_beams):
                 if table[ub, gb] >= floor:
-                    los = ch.block_dominant_bounces[ubook.panel[ub],
-                                                    gbook.panel[gb]] == 0
+                    los = dominant[ubook.panel[ub], gbook.panel[gb]] == 0
                     entries.append((float(table[ub, gb]), g, gb, ub,
                                     bool(los)))
     entries.sort(key=lambda e: (-e[0], e[1], e[2], e[3]))

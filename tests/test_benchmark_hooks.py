@@ -44,3 +44,18 @@ def test_tracer_installs_and_uninstalls_on_live_modules(monkeypatch):
     assert tracer.counts["beamsweep.bpls"] == sum(
         len(ctx.inputs.sweeps[u]) for u in ctx.inputs.sweeps) > 0
     assert tracer.counts["kernel.column_powers_calls"] > 0
+
+    # channels are assembled through runner.assemble_channel: once per pair
+    # with paths for the true rows, and once per estimated pair with paths
+    # an allocator read; each estimate is quantized through
+    # runner.quantize_paths
+    inputs = ctx.inputs
+    assert inputs.est_rows is not inputs.true_rows
+    with_paths = {(u, g) for (g, u), plist in
+                  runner._pair_paths(cfg, ctx.dep).items() if plist}
+    est_read = with_paths.intersection(inputs.est_rows)
+    assert 0 < len(est_read) < len(with_paths)
+    assert tracer.counts["channel.assemble_calls"] == (
+        len(with_paths) + len(est_read))
+    assert sum(span[tracing.NAME] == "csi.quantize"
+               for span in tracer.spans) == len(est_read)

@@ -9,11 +9,47 @@ from mmwsim.beamsweep import BeamPairLink
 from mmwsim.channel import assemble_channel
 from mmwsim.codebook import default_full_codebook
 from mmwsim.metrics import (column_powers, dropped_report, evaluate_allocation,
-                            inter_interference, intra_interference,
-                            link_report, network_report, rss, summarize,
+                            link_report, network_report, summarize,
                             throughput)
 from mmwsim.precoder import GnbPrecoderState
 from mmwsim.scenario import NetworkConfig
+
+
+# per-UE reference ops on full channel matrices, against which the row-based
+# evaluate_allocation is checked
+
+def rss(combiner: np.ndarray, true_channel, state: GnbPrecoderState,
+        ue: int) -> float:
+    """Received signal strength P_i |w_c^H H w_p,i|^2 on the true channel."""
+    i = state.served.index(ue)
+    row = combiner.conj() @ true_channel.full()
+    return float(state.p_per_ue * column_powers(row[None, :],
+                                                state.w_combined)[0, i])
+
+
+def intra_interference(combiner: np.ndarray, true_channel,
+                       state: GnbPrecoderState, ue: int) -> float:
+    """Power leaked into this UE by co-scheduled columns (own column excluded)."""
+    i = state.served.index(ue)
+    row = combiner.conj() @ true_channel.full()
+    powers = column_powers(row[None, :], state.w_combined)[0]
+    return float(state.p_per_ue * (np.sum(powers) - powers[i]))
+
+
+def inter_interference(combiner: np.ndarray, true_channels: dict,
+                       all_states: dict, serving_gnb: int) -> float:
+    """Incoherent power sum over all non-serving gNBs' precoder columns."""
+    total = 0.0
+    for g, state in all_states.items():
+        if g == serving_gnb or state is None:
+            continue
+        ch = true_channels.get(g)
+        if ch is None:
+            continue
+        row = combiner.conj() @ ch.full()
+        total += state.p_per_ue * float(np.sum(
+            column_powers(row[None, :], state.w_combined)))
+    return total
 
 
 def test_throughput_endpoints_and_interior():

@@ -1,11 +1,19 @@
 import csv
+import gc
 import json
 import math
+import weakref
 
+import numpy as np
 import pytest
 
+from mmwsim import runner
 from mmwsim.allocation import AllocMode
+from mmwsim.beamsweep import combined_rows
+from mmwsim.channel import assemble_channel
 from mmwsim.cli import main
+from mmwsim.codebook import default_full_codebook, estimation_grid
+from mmwsim.csi import quantize_paths
 from mmwsim.runner import (RECORD_FIELDS, desk_scale_config, emit,
                            prepare_realization, run_campaign, run_realization)
 from mmwsim.scenario import NetworkConfig
@@ -207,3 +215,88 @@ def test_sweep_rsrp_is_read_from_the_allocators_rows():
             assert tables[b.gnb][b.ue_beam, b.gnb_beam] == b.rsrp
             n_bpls += 1
     assert n_bpls > 0
+
+
+def _spy_assemble(monkeypatch):
+    """Replace runner.assemble_channel by a recording wrapper; the list of
+    channels it returned."""
+    built = []
+
+    def spy(*args, **kwargs):
+        ch = assemble_channel(*args, **kwargs)
+        built.append(ch)
+        return ch
+
+    monkeypatch.setattr(runner, "assemble_channel", spy)
+    return built
+
+
+def _eager_estimated_rows(cfg, dep, paths):
+    """Reference: estimated rows of every pair, built up front as
+    prepare_realization once did.  Quantize, assemble and combine each pair
+    with paths; every other pair gets the zero R."""
+    grid = estimation_grid(cfg.n_q_csi_bits)
+    ue_book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
+    est_channels = {}
+    for (g, u), plist in paths.items():
+        if plist:
+            est_channels[(g, u)] = assemble_channel(
+                quantize_paths(plist, grid), cfg,
+                dep.gnb_panel_orientations[g], dep.ue_panel_orientations[u])
+    zero = np.zeros((ue_book.n_beams, 4 * cfg.n_t), dtype=complex)
+    return {(u, g): (combined_rows(est_channels[(g, u)], ue_book)
+                     if (g, u) in est_channels else zero)
+            for u in range(dep.n_ues) for g in range(dep.n_gnbs)}
+
+
+def test_estimated_rows_on_demand_match_eager_build(monkeypatch):
+    # a 60 m blockage distance leaves some desk pairs without paths (52 of
+    # 292 in realization 0), so the zero R is compared too
+    cfg = desk_scale_config(n_realizations=1, n_q_csi_bits=6, n_csi_rs=4,
+                            d_blockage_m=60.0)
+    built = _spy_assemble(monkeypatch)
+    ctx = prepare_realization(cfg, 0)
+    dep, inputs = ctx.dep, ctx.inputs
+    paths = runner._pair_paths(cfg, dep)
+    n_pairs = dep.n_gnbs * dep.n_ues
+    with_paths = sum(1 for plist in paths.values() if plist)
+    assert 0 < with_paths < n_pairs
+    # one assembly per pair with paths, for its true rows only
+    assert len(built) == with_paths
+    assert inputs.est_rows is not inputs.true_rows
+    assert len(inputs.est_rows) == 0
+
+    # the oracle's guard rails refuse a desk realization
+    for mode in AllocMode:
+        if mode is not AllocMode.ORACLE:
+            run_realization(ctx, mode, cfg, 0)
+    assert 0 < len(inputs.est_rows) < n_pairs
+
+    expected = _eager_estimated_rows(cfg, dep, paths)
+    assert any(not np.any(r) for r in expected.values())
+    for key, ref in expected.items():
+        assert np.array_equal(inputs.est_rows[key], ref), key
+    assert len(inputs.est_rows) == n_pairs
+    with pytest.raises(KeyError):
+        inputs.est_rows[(dep.n_ues, 0)]
+
+
+@pytest.mark.parametrize("n_q_csi_bits", [math.inf, 6])
+def test_prepare_keeps_no_channel_blocks(monkeypatch, n_q_csi_bits):
+    cfg = _small_cfg(n_realizations=1, n_q_csi_bits=n_q_csi_bits, n_csi_rs=4)
+    built = _spy_assemble(monkeypatch)
+    ctx = prepare_realization(cfg, 0)
+    refs = [weakref.ref(ch) for ch in built]
+    del built[:]
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+    assert (ctx.inputs.est_rows is ctx.inputs.true_rows) == math.isinf(
+        n_q_csi_bits)
+
+    # estimated rows built on read keep no channel either
+    run_realization(ctx, AllocMode.CIABA, cfg, 0)
+    refs = [weakref.ref(ch) for ch in built]
+    del built[:]
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert bool(refs) == (not math.isinf(n_q_csi_bits))
