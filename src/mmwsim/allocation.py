@@ -114,10 +114,13 @@ def gnb_precoder_state(inputs: AllocationInputs, gnb: int, ues: list,
 
 
 class _Engine:
-    """Mutable allocation state with incremental SINR bookkeeping.
+    """Allocation state with per-UE SINR bookkeeping.
 
-    Signal/intra/inter powers are tracked per UE; rebuilding one gNB's
-    precoder touches only that gNB's contributions.
+    Signal/intra/inter powers are tracked per UE.  A gNB change is first
+    computed without touching the state (``_gnb_powers``,
+    ``_inter_caused``, ``_inter_seen``); ``_apply`` is the only writer of a
+    gNB's precoder and of the powers it contributes, so a tentative add
+    leaves nothing to roll back.
     """
 
     def __init__(self, inputs: AllocationInputs, use_dbf: bool):
@@ -135,8 +138,8 @@ class _Engine:
         self.sig: dict[int, float] = {}
         self.intra: dict[int, float] = {}
         self.inter: dict[int, dict[int, float]] = {}
-        self._version = {g: 0 for g in range(inputs.n_gnbs)}
-        self._inter_memo: dict = {}
+        # gnb -> ue -> inter_vec; _apply clears a gNB's entries
+        self._inter_memo: dict = {g: {} for g in range(inputs.n_gnbs)}
         self._bound_memo: dict = {}
         self._panel_of = inputs.gnb_book.panel.tolist()   # gNB beam -> panel
 
@@ -154,73 +157,47 @@ class _Engine:
                        if panel_of[self.serving[u].gnb_beam] == panel)
         return on_panel + 1 <= self.inputs.cfg.n_rf_gnb_sec
 
-    # -- incremental metric bookkeeping -----------------------------------
+    # -- state-free power terms -------------------------------------------
 
-    def _row(self, ue: int, gnb: int) -> np.ndarray:
-        """True combined row of this UE's serving UE beam toward ``gnb``."""
-        return self.inputs.true_rows[(ue, gnb)][self.serving[ue].ue_beam]
-
-    def rebuild(self, gnb: int, update_others: bool) -> None:
-        """Rebuild one gNB's precoder and refresh the powers it contributes.
-
-        ``update_others=False`` refreshes only the served UEs' signal/intra
-        terms (enough for a distributed tentative check).
-        """
-        self._version[gnb] += 1
-        ues = self.per_gnb[gnb]
-        if not ues:
-            self.states[gnb] = None
-            for u in self.serving:
-                self.inter.get(u, {}).pop(gnb, None)
-            return
-        # may raise Capacity/RankDeficiency
-        state = gnb_precoder_state(self.inputs, gnb, ues, self.serving,
-                                   self.use_dbf)
-        self.states[gnb] = state
-        rows = np.vstack([self._row(u, gnb) for u in ues])
+    def _gnb_powers(self, g: int, ues: list, serving: dict) -> tuple:
+        """Precoder of gNB ``g`` for ``ues`` (their BPLs in ``serving``) and
+        each member's (signal, intra) power; raises Capacity/RankDeficiency."""
+        state = gnb_precoder_state(self.inputs, g, ues, serving, self.use_dbf)
+        rows = np.vstack([self.inputs.true_rows[(u, g)][serving[u].ue_beam]
+                          for u in ues])
         powers = state.p_per_ue * column_powers(rows, state.w_combined)
         sums = powers.sum(axis=1)
-        for i, u in enumerate(ues):
-            self.sig[u] = float(powers[i, i])
-            self.intra[u] = float(sums[i] - powers[i, i])
-            self.inter.setdefault(u, {}).pop(gnb, None)
-        if update_others:
-            self.refresh_others(gnb)
+        return state, {u: (float(powers[i, i]), float(sums[i] - powers[i, i]))
+                       for i, u in enumerate(ues)}
 
-    def _others(self, gnb: int) -> list:
-        """Served UEs of every gNB but ``gnb``, in serving order."""
-        return [u for u in self.serving if self.serving[u].gnb != gnb]
+    def _inter_caused(self, g: int, state: GnbPrecoderState) -> dict:
+        """Interference ``state`` on gNB ``g`` causes each UE another gNB
+        serves, in serving order."""
+        others = [u for u, b in self.serving.items() if b.gnb != g]
+        if not others:
+            return {}
+        rows = np.vstack([self.inputs.true_rows[(u, g)][self.serving[u].ue_beam]
+                          for u in others])
+        contrib = (state.p_per_ue *
+                   column_powers(rows, state.w_combined)).sum(axis=1)
+        return {u: float(c) for u, c in zip(others, contrib)}
 
-    def refresh_others(self, gnb: int) -> None:
-        """Refresh the interference ``gnb``'s current precoder causes every
-        UE another gNB serves."""
-        state = self.states[gnb]
-        others = self._others(gnb)
-        if others:
-            rows_o = np.vstack([self._row(u, gnb) for u in others])
-            contrib = (state.p_per_ue *
-                       column_powers(rows_o, state.w_combined)).sum(axis=1)
-            for u, c in zip(others, contrib):
-                self.inter.setdefault(u, {})[gnb] = float(c)
+    def _inter_seen(self, bpl: BeamPairLink) -> dict:
+        """Interference every other active gNB causes ``bpl``'s UE beam."""
+        return {g: float(self.inter_vec(bpl.ue, g)[bpl.ue_beam])
+                for g in range(self.inputs.n_gnbs)
+                if g != bpl.gnb and self.states[g] is not None}
 
     def inter_vec(self, ue: int, gnb: int) -> np.ndarray:
         """Interference the active gNB's current precoder causes this UE, for
-        every UE beam at once (memoized per precoder version)."""
-        key = (ue, gnb, self._version[gnb])
-        vec = self._inter_memo.get(key)
+        every UE beam at once (memoized until the precoder changes)."""
+        memo = self._inter_memo[gnb]
+        vec = memo.get(ue)
         if vec is None:
             state = self.states[gnb]
-            vec = state.p_per_ue * column_powers(
+            vec = memo[ue] = state.p_per_ue * column_powers(
                 self.inputs.true_rows[(ue, gnb)], state.w_combined).sum(axis=1)
-            self._inter_memo[key] = vec
         return vec
-
-    def init_inter(self, ue: int) -> None:
-        bpl = self.serving[ue]
-        self.inter[ue] = {
-            g: float(self.inter_vec(ue, g)[bpl.ue_beam])
-            for g in range(self.inputs.n_gnbs)
-            if g != bpl.gnb and self.states[g] is not None}
 
     def snr_bound(self, ue: int, gnb: int, ue_beam: int) -> float:
         """P_max * |w_c^H H|^2 / noise for this (UE beam, gNB) pair.
@@ -259,126 +236,101 @@ class _Engine:
                           * self.noise / (self.noise + inter))
         return bounds
 
+    def _sinr(self, sig_intra: tuple, inter: dict) -> float:
+        sig, intra = sig_intra
+        return sig / (intra + sum(inter.values()) + self.noise)
+
     def sinr_lin(self, ue: int) -> float:
-        denom = self.intra[ue] + sum(self.inter.get(ue, {}).values()) + self.noise
-        return self.sig[ue] / denom
+        return self._sinr((self.sig[ue], self.intra[ue]), self.inter[ue])
 
-    # -- snapshot / mutation ----------------------------------------------
-
-    def snapshot(self):
-        return (dict(self.serving),
-                {g: list(l) for g, l in self.per_gnb.items()},
-                dict(self.states),
-                dict(self.sig), dict(self.intra),
-                {u: dict(d) for u, d in self.inter.items()},
-                dict(self._version))
-
-    def restore(self, snap) -> None:
-        (self.serving, self.per_gnb, self.states,
-         self.sig, self.intra, self.inter, self._version) = snap
-
-    def _add(self, bpl: BeamPairLink) -> None:
-        self.serving[bpl.ue] = bpl
-        self.per_gnb[bpl.gnb].append(bpl.ue)
+    # -- checks and changes -------------------------------------------------
 
     def try_candidate(self, bpl: BeamPairLink, check_network_wide: bool,
                       floor: float) -> Optional[float]:
-        """Tentatively allocate, check the coverage constraint, roll back.
-
-        Returns the candidate's own linear SINR when it beats ``floor`` and
-        no checked UE would be degraded below the threshold, else None.  The
-        checks run in stages, each only if the one before passes: the
-        candidate itself, then its gNB's other members, then (network-wide)
-        every other served UE, once the interference the rebuilt gNB causes
-        them is refreshed.  Only the state the stages touch is saved and
-        restored, keeping candidate scans cheap.
+        """The candidate's own linear SINR if it were added now, when that
+        beats ``floor`` and no checked UE would fall below the threshold,
+        else None.  Nothing is written.  The checks run in stages, each only
+        if the one before passes: the candidate itself, then its gNB's other
+        members, then (network-wide) every UE another gNB serves.  The
+        caller has checked ``capacity_ok``.
         """
-        if not self.capacity_ok(bpl):
-            return None
         g, ue = bpl.gnb, bpl.ue
         thresh = self.sinr_min_lin
-        old_state, old_version = self.states[g], self._version[g]
-        old_members = list(self.per_gnb[g])
-        old_si = {u: (self.sig[u], self.intra[u]) for u in old_members}
-        missing = object()
-        old_inter_g = {}
+        members = self.per_gnb[g]
         try:
-            self._add(bpl)
-            self.rebuild(g, update_others=False)
-            self.init_inter(ue)
-            own = self.sinr_lin(ue)
-            # the caller keeps only a feasible candidate above its incumbent
-            if own < thresh or own <= floor:
-                return None
-            if any(self.sinr_lin(u) < thresh for u in old_members):
-                return None
-            if check_network_wide:
-                others = self._others(g)
-                old_inter_g = {u: self.inter.get(u, {}).get(g, missing)
-                               for u in others}
-                self.refresh_others(g)
-                if any(self.sinr_lin(u) < thresh for u in others):
-                    return None
-            return own
+            state, powers = self._gnb_powers(g, members + [ue],
+                                             {**self.serving, ue: bpl})
         except (RankDeficiencyError, CapacityError):
             return None
-        finally:
-            self.serving.pop(ue, None)
-            self.per_gnb[g] = old_members
-            # the tentative precoder fed no inter_vec memo entry (init_inter
-            # skips the candidate's own gNB), so the old version's entries
-            # still describe the restored state
-            self.states[g], self._version[g] = old_state, old_version
-            self.sig.pop(ue, None)
-            self.intra.pop(ue, None)
-            self.inter.pop(ue, None)
-            for u, (s, i) in old_si.items():
-                self.sig[u] = s
-                self.intra[u] = i
-            for u, v in old_inter_g.items():
-                if v is missing:
-                    self.inter.get(u, {}).pop(g, None)
-                else:
-                    self.inter.setdefault(u, {})[g] = v
+        own = self._sinr(powers[ue], self._inter_seen(bpl))
+        # the caller keeps only a feasible candidate above its incumbent
+        if own < thresh or own <= floor:
+            return None
+        if any(self._sinr(powers[u], self.inter[u]) < thresh for u in members):
+            return None
+        if check_network_wide:
+            for u, c in self._inter_caused(g, state).items():
+                # g keeps its place in u's interference sum, or joins last
+                inter = dict(self.inter[u])
+                inter[g] = c
+                if self._sinr((self.sig[u], self.intra[u]), inter) < thresh:
+                    return None
+        return own
+
+    def _apply(self, g: int, state: Optional[GnbPrecoderState],
+               powers: dict) -> None:
+        """Install gNB ``g``'s precoder (None when it serves nobody), its
+        members' (signal, intra) powers and the interference it causes the
+        UEs of the other gNBs."""
+        self.states[g] = state
+        self._inter_memo[g] = {}
+        for u, (s, i) in powers.items():
+            self.sig[u] = s
+            self.intra[u] = i
+        if state is None:
+            for d in self.inter.values():
+                d.pop(g, None)
+        else:
+            for u, c in self._inter_caused(g, state).items():
+                self.inter[u][g] = c
 
     def commit(self, bpl: BeamPairLink) -> bool:
-        """Allocate for real; returns False (state unchanged) on rank failure."""
+        """Allocate for real; returns False (state unchanged) on failure."""
         if not self.capacity_ok(bpl):
             return False
-        snap = self.snapshot()
+        g, ue = bpl.gnb, bpl.ue
         try:
-            self._add(bpl)
-            self.rebuild(bpl.gnb, update_others=True)
-            self.init_inter(bpl.ue)
-            return True
+            state, powers = self._gnb_powers(g, self.per_gnb[g] + [ue],
+                                             {**self.serving, ue: bpl})
         except (RankDeficiencyError, CapacityError):
-            self.restore(snap)
             return False
+        self.serving[ue] = bpl
+        self.per_gnb[g].append(ue)
+        self.inter[ue] = self._inter_seen(bpl)
+        self._apply(g, state, powers)
+        return True
+
+    def _drop(self, ue: int) -> int:
+        """Unserve one UE, leaving its gNB to be recomputed; returns it."""
+        g = self.serving.pop(ue).gnb
+        self.per_gnb[g].remove(ue)
+        del self.sig[ue], self.intra[ue], self.inter[ue]
+        return g
 
     def remove_many(self, ues: list) -> None:
-        affected = set()
-        for u in ues:
-            bpl = self.serving.pop(u)
-            self.per_gnb[bpl.gnb].remove(u)
-            affected.add(bpl.gnb)
-            self.sig.pop(u, None)
-            self.intra.pop(u, None)
-            self.inter.pop(u, None)
-        for g in sorted(affected):
-            while True:
+        for g in sorted({self._drop(u) for u in ues}):
+            state, powers = None, {}
+            while self.per_gnb[g]:
                 try:
-                    self.rebuild(g, update_others=True)
+                    state, powers = self._gnb_powers(g, self.per_gnb[g],
+                                                     self.serving)
                     break
                 except RankDeficiencyError:
                     # borderline-conditioned survivor set; shed the weakest
                     # link on this gNB until the ZF rebuild is solvable
-                    weakest = min(self.per_gnb[g],
-                                  key=lambda u: (self.serving[u].rsrp, -u))
-                    self.serving.pop(weakest)
-                    self.per_gnb[g].remove(weakest)
-                    self.sig.pop(weakest, None)
-                    self.intra.pop(weakest, None)
-                    self.inter.pop(weakest, None)
+                    self._drop(min(self.per_gnb[g],
+                                   key=lambda u: (self.serving[u].rsrp, -u)))
+            self._apply(g, state, powers)
 
     def to_allocation(self, mode: AllocMode, initial_gnbs: dict) -> Allocation:
         return Allocation(serving=dict(self.serving),
@@ -431,8 +383,6 @@ def allocate_5gnr(inputs: AllocationInputs,
     for ue in _ue_order(inputs.sweeps):
         cands = build_candidates(ue, inputs.sweeps[ue], mode,
                                  initial.get(ue, -1), inputs.cfg.n_csi_rs)
-        if not cands.bpls:
-            continue
         if not engine.commit(cands.bpls[0]):
             continue
         # the new admission reshapes its gNB's precoder and radiates into
@@ -735,9 +685,9 @@ def _cbf_evaluate(serving: dict, per_gnb: dict, inputs: AllocationInputs,
     return out
 
 
-def allocate(inputs: AllocationInputs, mode: AllocMode,
-             rng: Optional[np.random.Generator] = None):
-    """Run one allocation mode; CBF TDMA also returns its link reports."""
+def allocate(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
+    """Run one allocation mode other than CBF TDMA, which needs the
+    campaign's slot-draw generator (``allocate_cbf_tdma``)."""
     if mode is AllocMode.FIVEG_NR:
         return allocate_5gnr(inputs)
     if mode is AllocMode.DBF_5GNR:
@@ -746,8 +696,4 @@ def allocate(inputs: AllocationInputs, mode: AllocMode,
         return allocate_iaba(inputs, mode)
     if mode is AllocMode.ORACLE:
         return allocate_oracle(inputs)
-    if mode is AllocMode.CBF_TDMA:
-        if rng is None:
-            rng = np.random.default_rng(inputs.cfg.seed)
-        return allocate_cbf_tdma(inputs, rng)
-    raise ValueError(f"unknown allocation mode: {mode}")
+    raise ValueError(f"allocate does not run mode {mode}")

@@ -16,7 +16,8 @@ from mmwsim.allocation import (ORACLE_MAX_CANDIDATES, AllocMode, Allocation,
 from mmwsim.beamsweep import BeamPairLink, Sweep
 from mmwsim.codebook import default_full_codebook
 from mmwsim.errors import CapacityError, GuardRailError, RankDeficiencyError
-from mmwsim.metrics import evaluate_allocation, network_report, throughput
+from mmwsim.metrics import (column_powers, evaluate_allocation, network_report,
+                            throughput)
 from mmwsim.precoder import compose, rf_stage, zf_stage
 from mmwsim.runner import desk_scale_config, prepare_realization
 from mmwsim.scenario import NetworkConfig, load_config
@@ -526,9 +527,46 @@ def test_oracle_builds_each_gnb_sub_assignment_once(monkeypatch):
 
 # -- IABA candidate scan --------------------------------------------------------
 
-class _UnprunedEngine(allocation._Engine):
-    """The engine with the unstaged tentative add: every candidate refreshes
-    its gNB's interference on the whole network before any check."""
+class _UnprunedEngine:
+    """The allocation engine as it was before the staged, side-effect-free
+    tentative add, kept whole as the reference: every candidate is added to
+    the shared state, refreshes its gNB's interference on the whole
+    network (cIABA) before any check, and is rolled back.  It shares no
+    engine code with ``allocation._Engine``."""
+
+    def __init__(self, inputs, use_dbf):
+        cfg = inputs.cfg
+        self.inputs = inputs
+        self.use_dbf = use_dbf
+        self.noise = cfg.noise_w
+        self.p_max = cfg.p_max_w
+        self.sinr_min_lin = 10 ** (cfg.sinr_min_db / 10.0)
+        self.n_rf_total = 4 * cfg.n_t if use_dbf else cfg.n_rf_gnb
+        self.serving = {}
+        self.per_gnb = {g: [] for g in range(inputs.n_gnbs)}
+        self.states = {g: None for g in range(inputs.n_gnbs)}
+        self.sig = {}
+        self.intra = {}
+        self.inter = {}
+        self._version = {g: 0 for g in range(inputs.n_gnbs)}
+        self._inter_memo = {}
+        self._bound_memo = {}
+        self._panel_of = inputs.gnb_book.panel.tolist()
+
+    def capacity_ok(self, bpl):
+        served = self.per_gnb[bpl.gnb]
+        if len(served) + 1 > self.n_rf_total:
+            return False
+        if self.use_dbf:
+            return True
+        panel_of = self._panel_of
+        panel = panel_of[bpl.gnb_beam]
+        on_panel = sum(1 for u in served
+                       if panel_of[self.serving[u].gnb_beam] == panel)
+        return on_panel + 1 <= self.inputs.cfg.n_rf_gnb_sec
+
+    def _row(self, ue, gnb):
+        return self.inputs.true_rows[(ue, gnb)][self.serving[ue].ue_beam]
 
     def rebuild(self, gnb, update_others):
         self._version[gnb] += 1
@@ -542,21 +580,73 @@ class _UnprunedEngine(allocation._Engine):
                                               self.serving, self.use_dbf)
         self.states[gnb] = state
         rows = np.vstack([self._row(u, gnb) for u in ues])
-        powers = state.p_per_ue * allocation.column_powers(
-            rows, state.w_combined)
+        powers = state.p_per_ue * column_powers(rows, state.w_combined)
         sums = powers.sum(axis=1)
         for i, u in enumerate(ues):
             self.sig[u] = float(powers[i, i])
             self.intra[u] = float(sums[i] - powers[i, i])
             self.inter.setdefault(u, {}).pop(gnb, None)
         if update_others:
-            others = [u for u in self.serving if self.serving[u].gnb != gnb]
-            if others:
-                rows_o = np.vstack([self._row(u, gnb) for u in others])
-                contrib = (state.p_per_ue * allocation.column_powers(
-                    rows_o, state.w_combined)).sum(axis=1)
-                for u, c in zip(others, contrib):
-                    self.inter.setdefault(u, {})[gnb] = float(c)
+            self.refresh_others(gnb)
+
+    def _others(self, gnb):
+        return [u for u in self.serving if self.serving[u].gnb != gnb]
+
+    def refresh_others(self, gnb):
+        state = self.states[gnb]
+        others = self._others(gnb)
+        if others:
+            rows_o = np.vstack([self._row(u, gnb) for u in others])
+            contrib = (state.p_per_ue *
+                       column_powers(rows_o, state.w_combined)).sum(axis=1)
+            for u, c in zip(others, contrib):
+                self.inter.setdefault(u, {})[gnb] = float(c)
+
+    def inter_vec(self, ue, gnb):
+        key = (ue, gnb, self._version[gnb])
+        vec = self._inter_memo.get(key)
+        if vec is None:
+            state = self.states[gnb]
+            vec = state.p_per_ue * column_powers(
+                self.inputs.true_rows[(ue, gnb)], state.w_combined).sum(axis=1)
+            self._inter_memo[key] = vec
+        return vec
+
+    def init_inter(self, ue):
+        bpl = self.serving[ue]
+        self.inter[ue] = {
+            g: float(self.inter_vec(ue, g)[bpl.ue_beam])
+            for g in range(self.inputs.n_gnbs)
+            if g != bpl.gnb and self.states[g] is not None}
+
+    def snr_bound(self, ue, gnb, ue_beam):
+        key = (ue, gnb, ue_beam)
+        val = self._bound_memo.get(key)
+        if val is None:
+            row = self.inputs.true_rows[(ue, gnb)][ue_beam]
+            val = self.p_max * float(np.real(np.vdot(row, row))) / self.noise
+            self._bound_memo[key] = val
+        return val
+
+    def sinr_lin(self, ue):
+        denom = self.intra[ue] + sum(self.inter.get(ue, {}).values()) + self.noise
+        return self.sig[ue] / denom
+
+    def snapshot(self):
+        return (dict(self.serving),
+                {g: list(l) for g, l in self.per_gnb.items()},
+                dict(self.states),
+                dict(self.sig), dict(self.intra),
+                {u: dict(d) for u, d in self.inter.items()},
+                dict(self._version))
+
+    def restore(self, snap):
+        (self.serving, self.per_gnb, self.states,
+         self.sig, self.intra, self.inter, self._version) = snap
+
+    def _add(self, bpl):
+        self.serving[bpl.ue] = bpl
+        self.per_gnb[bpl.gnb].append(bpl.ue)
 
     def try_candidate(self, bpl, check_network_wide):
         if not self.capacity_ok(bpl):
@@ -597,6 +687,51 @@ class _UnprunedEngine(allocation._Engine):
                         self.inter.get(u, {}).pop(g, None)
                     else:
                         self.inter.setdefault(u, {})[g] = v
+
+    def commit(self, bpl):
+        if not self.capacity_ok(bpl):
+            return False
+        snap = self.snapshot()
+        try:
+            self._add(bpl)
+            self.rebuild(bpl.gnb, update_others=True)
+            self.init_inter(bpl.ue)
+            return True
+        except (RankDeficiencyError, CapacityError):
+            self.restore(snap)
+            return False
+
+    def remove_many(self, ues):
+        affected = set()
+        for u in ues:
+            bpl = self.serving.pop(u)
+            self.per_gnb[bpl.gnb].remove(u)
+            affected.add(bpl.gnb)
+            self.sig.pop(u, None)
+            self.intra.pop(u, None)
+            self.inter.pop(u, None)
+        for g in sorted(affected):
+            while True:
+                try:
+                    self.rebuild(g, update_others=True)
+                    break
+                except RankDeficiencyError:
+                    weakest = min(self.per_gnb[g],
+                                  key=lambda u: (self.serving[u].rsrp, -u))
+                    self.serving.pop(weakest)
+                    self.per_gnb[g].remove(weakest)
+                    self.sig.pop(weakest, None)
+                    self.intra.pop(weakest, None)
+                    self.inter.pop(weakest, None)
+
+    def to_allocation(self, mode, initial_gnbs):
+        return Allocation(serving=dict(self.serving),
+                          per_gnb={g: list(l) for g, l in self.per_gnb.items()
+                                   if l},
+                          mode=mode,
+                          states={g: s for g, s in self.states.items()
+                                  if s is not None},
+                          initial_gnbs=initial_gnbs)
 
 
 def _unpruned_iaba(inputs, mode):
@@ -694,6 +829,84 @@ def test_iaba_bound_holds_and_prunes(monkeypatch):
         assert n_pruned < len(keys)
 
 
+def _plain_state(engine):
+    """Everything a tentative add must leave unchanged, dict key order
+    included, except the precoders (compared by identity)."""
+    return (list(engine.serving.items()),
+            [(g, list(ues)) for g, ues in engine.per_gnb.items()],
+            list(engine.sig.items()), list(engine.intra.items()),
+            [(u, list(d.items())) for u, d in engine.inter.items()])
+
+
+def test_try_candidate_changes_no_state(monkeypatch):
+    inputs = _desk_inputs()
+    try_candidate = allocation._Engine.try_candidate
+    accepted = []
+
+    def watched(self, bpl, *args, **kwargs):
+        before, states = _plain_state(self), list(self.states.items())
+        own = try_candidate(self, bpl, *args, **kwargs)
+        assert _plain_state(self) == before
+        after = list(self.states.items())
+        assert [g for g, _ in after] == [g for g, _ in states]
+        assert all(s is t for (_, s), (_, t) in zip(after, states))
+        accepted.append(own is not None)
+        return own
+
+    monkeypatch.setattr(allocation._Engine, "try_candidate", watched)
+    for mode in (AllocMode.DIABA, AllocMode.CIABA):
+        del accepted[:]
+        allocate_iaba(inputs, mode)
+        assert True in accepted and False in accepted
+
+
+def test_remove_many_sheds_weakest_on_rank_failure(tiny_cfg, monkeypatch):
+    # gNB 0 serves UEs 0-3 and gNB 1 UEs 4-5; each UE also hears the other
+    # gNB, weaker and from another direction
+    pairs = {}
+    for u in range(6):
+        g = 0 if u < 4 else 1
+        aod = -135.0 + 90.0 * (u % 4) + 10.0 * g
+        aoa = -170.0 + 60.0 * u
+        pairs[(g, u)] = [path(1e-5, aod, aoa)]
+        pairs[(1 - g, u)] = [path(0.2e-5, aod + 40.0, aoa + 25.0)]
+    inputs = make_inputs(tiny_cfg, pairs, 2, 6)
+    engine = allocation._Engine(inputs, use_dbf=False)
+    # UEs 1 and 2 tie on the lowest RSRP of gNB 0
+    rsrp = {0: 9.0, 1: 1.0, 2: 1.0, 3: 5.0, 4: 9.0, 5: 1.0}
+    for u in range(6):
+        g = 0 if u < 4 else 1
+        bpl = next(b for b in inputs.sweeps[u] if b.gnb == g)
+        assert engine.commit(replace(bpl, rsrp=rsrp[u]))
+    assert engine.per_gnb == {0: [0, 1, 2, 3], 1: [4, 5]}
+
+    build = allocation.gnb_precoder_state
+    refused = {(0, (1, 2, 3)), (1, (5,))}
+    tried = []
+
+    def failing(inputs, gnb, ues, *args, **kwargs):
+        tried.append((gnb, tuple(ues)))
+        if (gnb, tuple(ues)) in refused:
+            raise RankDeficiencyError(list(ues))
+        return build(inputs, gnb, ues, *args, **kwargs)
+
+    monkeypatch.setattr(allocation, "gnb_precoder_state", failing)
+    engine.remove_many([0, 4])
+    # the tie on gNB 0 sheds the higher UE id; gNB 1 sheds its last UE
+    assert tried == [(0, (1, 2, 3)), (0, (1, 3)), (1, (5,))]
+    assert list(engine.serving) == [1, 3]
+    assert engine.per_gnb == {0: [1, 3], 1: []}
+    assert engine.states[1] is None
+    assert engine.states[0].served == [1, 3]
+    assert set(engine.sig) == set(engine.intra) == set(engine.inter) == {1, 3}
+    assert all(1 not in d for d in engine.inter.values())
+    powers = evaluate_allocation(engine.serving, engine.per_gnb,
+                                 engine.states, inputs.true_rows)
+    for u, (s, ia, ie) in powers.items():
+        assert engine.sinr_lin(u) == pytest.approx(
+            s / (ia + ie + engine.noise), rel=1e-9)
+
+
 # -- CBF SU-MIMO TDMA ----------------------------------------------------------
 
 def test_cbf_tdma_time_share(tiny_cfg):
@@ -752,6 +965,7 @@ def test_pair_without_paths_runs_every_mode(tiny_cfg):
     assert len(inputs.sweeps[2]) == 0
     for mode in AllocMode:
         if mode is AllocMode.CBF_TDMA:
+            pytest.raises(ValueError, allocate, inputs, mode)
             alloc, reports = allocate_cbf_tdma(inputs,
                                                np.random.default_rng(0))
         else:
