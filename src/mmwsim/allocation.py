@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -58,23 +59,23 @@ class AllocationInputs:
     n_gnbs: int
     n_ues: int
     sweeps: dict                     # ue -> beamsweep.Sweep
-    true_rows: dict                  # (ue, gnb) -> R = W_ue^H H, see metrics.Rows
+    true_rows: dict                  # (ue, gnb) -> metrics.BeamRows of
+                                     # R = W_ue^H H at the UE's read_beams
     est_rows: dict                   # same, against the estimated channels;
                                      # a pair may be built on first read
     gnb_book: FullCodebook
 
 
-def build_candidates(ue: int, sweep_result: Sweep, mode: AllocMode,
-                     initial_gnb: int, n_csi_rs) -> CandidateSet:
-    """Monitored-BPL set per allocation mode.
+def candidate_ranks(sweep_result: Sweep, mode: AllocMode, initial_gnb: int,
+                    n_csi_rs) -> np.ndarray:
+    """Sweep ranks (0-based) of a UE's monitored BPLs per allocation mode.
 
     5G-NR monitors only the strongest BPL; dIABA the top candidates on the
     initial serving gNB; cIABA the top candidates network-wide.
     """
-    if mode in (AllocMode.FIVEG_NR, AllocMode.DBF_5GNR, AllocMode.CBF_TDMA):
-        best = initial_association(sweep_result)
-        return CandidateSet(ue=ue, bpls=[best] if best else [])
     ranks = np.arange(len(sweep_result))
+    if mode in (AllocMode.FIVEG_NR, AllocMode.DBF_5GNR, AllocMode.CBF_TDMA):
+        return ranks[:1]
     if mode is AllocMode.DIABA:
         ranks = ranks[sweep_result.gnb == initial_gnb]
     # one monitored BPL per transmit beam: a CSI-RS resource tracks a gNB
@@ -87,7 +88,31 @@ def build_candidates(ue: int, sweep_result: Sweep, mode: AllocMode,
         ranks = ranks[np.sort(first)]
     if math.isfinite(n_csi_rs):
         ranks = ranks[:int(n_csi_rs)]
+    return ranks
+
+
+def build_candidates(ue: int, sweep_result: Sweep, mode: AllocMode,
+                     initial_gnb: int, n_csi_rs) -> CandidateSet:
+    """Monitored-BPL set per allocation mode, at ``candidate_ranks``."""
+    ranks = candidate_ranks(sweep_result, mode, initial_gnb, n_csi_rs)
     return CandidateSet(ue=ue, bpls=[sweep_result[i] for i in ranks.tolist()])
+
+
+def read_beams(sweep_result: Sweep, n_csi_rs) -> np.ndarray:
+    """Sorted UE beams any allocator may read for this UE: those of its
+    dIABA and cIABA candidates (5G-NR, DBF and CBF-TDMA read rank 0, the
+    oracle cIABA's candidates).
+
+    Padded with beams 0 and 1 to at least two: in a product over two or
+    more rows each row has the bits it has in a product over all UE beams,
+    while a single row goes through gemv, whose last bit can differ.
+    """
+    initial = int(sweep_result.gnb[0]) if len(sweep_result) else -1
+    ranks = np.concatenate([
+        candidate_ranks(sweep_result, mode, initial, n_csi_rs)
+        for mode in (AllocMode.DIABA, AllocMode.CIABA)])
+    beams = np.unique(sweep_result.ue_beam[ranks])
+    return beams if len(beams) >= 2 else np.union1d(beams, [0, 1])
 
 
 def gnb_precoder_state(inputs: AllocationInputs, gnb: int, ues: list,
@@ -142,20 +167,22 @@ class _Engine:
         self._inter_memo: dict = {g: {} for g in range(inputs.n_gnbs)}
         self._bound_memo: dict = {}
         self._panel_of = inputs.gnb_book.panel.tolist()   # gNB beam -> panel
+        # (gnb, panel) -> number of UEs served on it; commit and _drop keep
+        # it current
+        self._panel_load: Counter = Counter()
 
     # -- capacity -------------------------------------------------------
 
+    def _panel(self, bpl: BeamPairLink) -> tuple:
+        return bpl.gnb, self._panel_of[bpl.gnb_beam]
+
     def capacity_ok(self, bpl: BeamPairLink) -> bool:
-        served = self.per_gnb[bpl.gnb]
-        if len(served) + 1 > self.n_rf_total:
+        if len(self.per_gnb[bpl.gnb]) + 1 > self.n_rf_total:
             return False
         if self.use_dbf:
             return True
-        panel_of = self._panel_of
-        panel = panel_of[bpl.gnb_beam]
-        on_panel = sum(1 for u in served
-                       if panel_of[self.serving[u].gnb_beam] == panel)
-        return on_panel + 1 <= self.inputs.cfg.n_rf_gnb_sec
+        return (self._panel_load[self._panel(bpl)] + 1
+                <= self.inputs.cfg.n_rf_gnb_sec)
 
     # -- state-free power terms -------------------------------------------
 
@@ -182,21 +209,28 @@ class _Engine:
                    column_powers(rows, state.w_combined)).sum(axis=1)
         return {u: float(c) for u, c in zip(others, contrib)}
 
+    def _pos(self, bpl: BeamPairLink) -> int:
+        """Position of ``bpl``'s UE beam in its UE's kept rows."""
+        return self.inputs.true_rows[(bpl.ue, bpl.gnb)].index[bpl.ue_beam]
+
     def _inter_seen(self, bpl: BeamPairLink) -> dict:
         """Interference every other active gNB causes ``bpl``'s UE beam."""
-        return {g: float(self.inter_vec(bpl.ue, g)[bpl.ue_beam])
+        pos = self._pos(bpl)
+        return {g: float(self.inter_vec(bpl.ue, g)[pos])
                 for g in range(self.inputs.n_gnbs)
                 if g != bpl.gnb and self.states[g] is not None}
 
     def inter_vec(self, ue: int, gnb: int) -> np.ndarray:
         """Interference the active gNB's current precoder causes this UE, for
-        every UE beam at once (memoized until the precoder changes)."""
+        every kept UE beam at once, by position in the UE's kept rows
+        (memoized until the precoder changes)."""
         memo = self._inter_memo[gnb]
         vec = memo.get(ue)
         if vec is None:
             state = self.states[gnb]
             vec = memo[ue] = state.p_per_ue * column_powers(
-                self.inputs.true_rows[(ue, gnb)], state.w_combined).sum(axis=1)
+                self.inputs.true_rows[(ue, gnb)].matrix,
+                state.w_combined).sum(axis=1)
         return vec
 
     def snr_bound(self, ue: int, gnb: int, ue_beam: int) -> float:
@@ -228,9 +262,10 @@ class _Engine:
         for b in bpls:
             inter = 0.0
             if vecs:
-                inter = float(total[b.ue_beam])
+                pos = self._pos(b)
+                inter = float(total[pos])
                 if b.gnb in vecs:
-                    inter -= float(vecs[b.gnb][b.ue_beam])
+                    inter -= float(vecs[b.gnb][pos])
             share = len(self.per_gnb[b.gnb]) + 1
             bounds.append(self.snr_bound(ue, b.gnb, b.ue_beam) / share
                           * self.noise / (self.noise + inter))
@@ -306,14 +341,17 @@ class _Engine:
             return False
         self.serving[ue] = bpl
         self.per_gnb[g].append(ue)
+        self._panel_load[self._panel(bpl)] += 1
         self.inter[ue] = self._inter_seen(bpl)
         self._apply(g, state, powers)
         return True
 
     def _drop(self, ue: int) -> int:
         """Unserve one UE, leaving its gNB to be recomputed; returns it."""
-        g = self.serving.pop(ue).gnb
+        bpl = self.serving.pop(ue)
+        g = bpl.gnb
         self.per_gnb[g].remove(ue)
+        self._panel_load[self._panel(bpl)] -= 1
         del self.sig[ue], self.intra[ue], self.inter[ue]
         return g
 
@@ -361,8 +399,8 @@ def _enforce_coverage(engine: _Engine, inputs: AllocationInputs) -> None:
     """
     thresh = 10 ** (inputs.cfg.sinr_min_db / 10.0)
     while engine.serving:
-        powers = metrics.evaluate_allocation(
-            engine.serving, engine.per_gnb, engine.states, inputs.true_rows)
+        powers = metrics.evaluate_allocation(engine.serving, engine.states,
+                                             inputs.true_rows)
         viol = [u for u, (s, ia, ie) in powers.items()
                 if s / (ia + ie + engine.noise) < thresh]
         if not viol:
@@ -508,15 +546,16 @@ class _OracleScorer:
         self.options = options
         self.noise = cfg.noise_w
         self.thresh = 10 ** (cfg.sinr_min_db / 10.0)
-        # gnb_of[i][k]: gNB of UE i's option k (-1 for dropped); beams[i][k]:
-        # its UE beam (0 for dropped, never read); slot[i][k]: its index in
-        # a power-term vector; mark[i][k]: its 3-bit digit (at most
-        # ORACLE_MAX_CANDIDATES + 1 options) in the code of the sub-assignment
-        # of the gNB serving it
+        # gnb_of[i][k]: gNB of UE i's option k (-1 for dropped); pos[i][k]:
+        # the row of its UE beam in UE i's kept rows (0 for dropped, never
+        # read); slot[i][k]: its index in a power-term vector; mark[i][k]:
+        # its 3-bit digit (at most ORACLE_MAX_CANDIDATES + 1 options) in the
+        # code of the sub-assignment of the gNB serving it
         self.gnb_of = [[-1 if b is None else b.gnb for b in opts]
                        for opts in options]
-        self.beams = [[0 if b is None else b.ue_beam for b in opts]
-                      for opts in options]
+        rows = inputs.true_rows
+        self.pos = [[0 if b is None else rows[(b.ue, b.gnb)].index[b.ue_beam]
+                     for b in opts] for opts in options]
         self.slot, self.mark, n = [], [], 0
         for i, opts in enumerate(options):
             self.slot.append(list(range(n, n + len(opts))))
@@ -536,9 +575,10 @@ class _OracleScorer:
 
         ``metrics.evaluate_allocation`` stacks one row per served UE of the
         network before the product.  With two or more rows numpy runs gemm,
-        and each row's bits equal those of the pair's full R used here; a
-        single row goes through gemv, whose last bit can differ, so an
-        assignment that serves one UE reads ``alone``.
+        and each row's bits equal those of the pair's kept rows used here
+        (``read_beams`` keeps at least two); a single row goes through gemv,
+        whose last bit can differ, so an assignment that serves one UE reads
+        ``alone``.
         """
         served = [i for i, k in enumerate(choice)
                   if self.gnb_of[i][k] == gnb]
@@ -553,14 +593,14 @@ class _OracleScorer:
         rows = self.inputs.true_rows
         powers, own = array("d"), array("d")
         for i, ue in enumerate(self.ue_ids):
-            cols = p * column_powers(rows[(ue, gnb)], w)
-            powers.extend(cols.sum(axis=1)[self.beams[i]].tolist())
+            cols = p * column_powers(rows[(ue, gnb)].matrix, w)
+            powers.extend(cols.sum(axis=1)[self.pos[i]].tolist())
             if i in served:
-                own.append(cols[self.beams[i][choice[i]], served.index(i)])
+                own.append(cols[self.pos[i][choice[i]], served.index(i)])
         alone = None
         if len(served) == 1:
             (i,) = served
-            row = rows[(ues[0], gnb)][self.beams[i][choice[i]]][None, :]
+            row = rows[(ues[0], gnb)].matrix[self.pos[i][choice[i]]][None, :]
             alone = float((p * column_powers(row, w))[0, 0])
         return powers, own, alone
 

@@ -14,8 +14,28 @@ import numpy as np
 
 from .scenario import NetworkConfig
 
-# (ue, gnb) -> R = W_ue^H H_{ue,gnb}, (n_ue_beams, 4 n_t) complex: the
-# combined row w_c^H H of every UE beam; all zeros when the pair has no paths
+
+class BeamRows:
+    """One gNB-UE pair's combined rows w_c^H H, kept only at the UE beams
+    its UE's candidates can use (``allocation.read_beams``).
+
+    ``matrix`` stacks the kept rows, (n_kept, 4 n_t) complex, all zeros
+    when the pair has no paths; ``index`` maps a kept UE beam to its row
+    and is shared by every pair of the UE.  ``rows[beam]`` is that beam's
+    row; reading a beam that was not kept raises KeyError.
+    """
+
+    __slots__ = ("matrix", "index")
+
+    def __init__(self, matrix: np.ndarray, index: dict):
+        self.matrix = matrix
+        self.index = index
+
+    def __getitem__(self, beam: int) -> np.ndarray:
+        return self.matrix[self.index[beam]]
+
+
+# (ue, gnb) -> BeamRows of R = W_ue^H H_{ue,gnb}
 Rows = dict
 
 
@@ -57,8 +77,7 @@ def throughput(sinr_db: float, cfg: NetworkConfig) -> float:
     return cfg.alpha_loss * cfg.bandwidth_hz * math.log2(1.0 + sinr)
 
 
-def evaluate_allocation(serving: dict, per_gnb: dict, states: dict,
-                        rows: Rows) -> dict:
+def evaluate_allocation(serving: dict, states: dict, rows: Rows) -> dict:
     """Signal and interference powers of every allocated UE.
 
     Returns ue -> (rss_w, i_intra_w, i_inter_w).  The per-gNB kernel matches
@@ -119,11 +138,11 @@ def dropped_report(ue: int, noise_w: float) -> LinkReport:
         rate_bps=0.0, alloc_rank=0, is_los=False, is_handover=False)
 
 
-def network_report(serving: dict, per_gnb: dict, states: dict, rows: Rows,
+def network_report(serving: dict, states: dict, rows: Rows,
                    cfg: NetworkConfig, n_ues: int,
                    initial_gnbs: dict) -> tuple[list[LinkReport], dict]:
     """Per-UE LinkReports plus an aggregate summary for one allocation."""
-    powers = evaluate_allocation(serving, per_gnb, states, rows)
+    powers = evaluate_allocation(serving, states, rows)
     reports = []
     for ue in range(n_ues):
         if ue in serving:

@@ -13,12 +13,12 @@ from typing import Optional
 import numpy as np
 
 from .allocation import (Allocation, AllocationInputs, AllocMode, allocate,
-                         allocate_cbf_tdma)
+                         allocate_cbf_tdma, read_beams)
 from .beamsweep import combined_rows, sweep
 from .channel import assemble_channel, ingest_paths, pair_rng, synthesize_paths
 from .codebook import default_full_codebook, estimation_grid
 from .csi import quantize_paths
-from .metrics import network_report, summarize
+from .metrics import BeamRows, network_report, summarize
 from .scenario import Deployment, NetworkConfig, generate_deployment
 
 SCHEMA_VERSION = 1
@@ -92,7 +92,7 @@ class RealizationContext:
 
 
 class LazyRows(dict):
-    """(ue, gnb) -> R, where a pair missing on read is built by
+    """(ue, gnb) -> BeamRows, where a pair missing on read is built by
     ``build(ue, gnb)`` and kept."""
 
     def __init__(self, build):
@@ -109,12 +109,14 @@ def build_inputs(cfg: NetworkConfig, n_gnbs: int, n_ues: int, paths: dict,
     """Codebooks, row matrices and beam sweeps from (gnb, ue) -> path lists.
 
     Each pair's channel is assembled, reduced to its rows R = W_ue^H H and
-    dominant-bounce table, and dropped.  A pair without paths gets one
-    shared read-only all-zero R, so the sweep, the allocators and the
-    reports read every pair alike.  Under quantized CSI a UE reports
-    estimates only for the gNBs of the BPLs it monitors: a pair's estimated
-    rows are built from its quantized paths on first read.  Each value
-    depends on its pair's paths alone, so the order of reads moves no bit.
+    dominant-bounce table, and dropped.  A pair without paths gets an
+    all-zero R, so the sweep, the allocators and the reports read every
+    pair alike.  Once a UE is swept, each of its pairs keeps R only at the
+    UE's ``read_beams``, the receive beams of its candidate BPLs.  Under
+    quantized CSI a UE reports estimates only for the gNBs of the BPLs it
+    monitors: a pair's estimated rows are built from its quantized paths on
+    first read and kept at the same beams.  Each value depends on its
+    pair's paths alone, so the order of reads moves no bit.
     """
     # codebooks do not depend on panel orientation: one book per node type
     gnb_book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
@@ -128,35 +130,40 @@ def build_inputs(cfg: NetworkConfig, n_gnbs: int, n_ues: int, paths: dict,
         return assemble_channel(plist, cfg, gnb_orientations[g],
                                 ue_orientations[u])
 
-    true_rows, sweeps = {}, {}
+    true_rows, sweeps, beams_of = {}, {}, {}
     for u in range(n_ues):
-        bounces = {}
+        bounces, rows = {}, {}
         for g in range(n_gnbs):
             plist = paths.get((g, u))
             if plist:
                 ch = channel(plist, g, u)
-                true_rows[(u, g)] = combined_rows(ch, ue_book)
+                rows[g] = combined_rows(ch, ue_book)
                 bounces[g] = ch.block_dominant_bounces
             else:
-                true_rows[(u, g)] = zero
+                rows[g] = zero
                 bounces[g] = None
-        sweeps[u] = sweep(
-            u, bounces, {g: true_rows[(u, g)] for g in range(n_gnbs)},
-            gnb_book, ue_book, cfg.p_max_w, cfg.noise_w,
-            cfg.detection_floor_db)
+        sweeps[u] = sweep(u, bounces, rows, gnb_book, ue_book, cfg.p_max_w,
+                          cfg.noise_w, cfg.detection_floor_db)
+        beams = beams_of[u] = read_beams(sweeps[u], cfg.n_csi_rs)
+        index = {b: i for i, b in enumerate(beams.tolist())}
+        for g in range(n_gnbs):
+            # a pair without paths keeps a view of the shared zero R
+            kept_rows = (zero[:len(beams)] if rows[g] is zero
+                         else rows[g][beams])
+            true_rows[(u, g)] = BeamRows(kept_rows, index)
 
     grid = estimation_grid(cfg.n_q_csi_bits)
     if grid.is_exact:
         est_rows = true_rows
     else:
         def estimate(u, g):
-            if (u, g) not in true_rows:
-                raise KeyError((u, g))
+            true = true_rows[(u, g)]
             plist = paths.get((g, u))
             if not plist:
-                return zero
-            return combined_rows(channel(quantize_paths(plist, grid), g, u),
-                                 ue_book)
+                return true
+            est = combined_rows(channel(quantize_paths(plist, grid), g, u),
+                                ue_book)
+            return BeamRows(est[beams_of[u]], true.index)
         est_rows = LazyRows(estimate)
     return AllocationInputs(cfg=cfg, n_gnbs=n_gnbs, n_ues=n_ues,
                             sweeps=sweeps, true_rows=true_rows,
@@ -183,8 +190,8 @@ def run_realization(ctx: RealizationContext, mode: AllocMode,
     else:
         alloc = allocate(ctx.inputs, mode)
         reports, summary = network_report(
-            alloc.serving, alloc.per_gnb, alloc.states,
-            ctx.inputs.true_rows, cfg, ctx.dep.n_ues, alloc.initial_gnbs)
+            alloc.serving, alloc.states, ctx.inputs.true_rows, cfg,
+            ctx.dep.n_ues, alloc.initial_gnbs)
     return RealizationResult(realization=realization, mode=mode,
                              allocation=alloc, reports=reports,
                              summary=summary)
@@ -204,6 +211,8 @@ def run_campaign(cfg: NetworkConfig, modes: list,
             t0 = time.perf_counter()
             result.results.append(run_realization(ctx, mode, cfg, r))
             timings[mode.value] += time.perf_counter() - t0
+        # free this realization's rows before the next one is prepared
+        del ctx
     result.timings_s = timings
     return result
 

@@ -204,7 +204,7 @@ def test_criterion_4_oracle_dominance():
         inputs = small_instance(seed)
         oracle = allocate_oracle(inputs)
         o_reports, _ = network_report(
-            oracle.serving, oracle.per_gnb, oracle.states,
+            oracle.serving, oracle.states,
             inputs.true_rows, inputs.cfg, inputs.n_ues,
             oracle.initial_gnbs)
         o_rate = sum(r.rate_bps for r in o_reports)
@@ -214,7 +214,7 @@ def test_criterion_4_oracle_dominance():
         for mode in (AllocMode.CIABA, AllocMode.FIVEG_NR):
             alloc = allocate(inputs, mode)
             reports, _ = network_report(
-                alloc.serving, alloc.per_gnb, alloc.states,
+                alloc.serving, alloc.states,
                 inputs.true_rows, inputs.cfg, inputs.n_ues,
                 alloc.initial_gnbs)
             rate = sum(r.rate_bps for r in reports)
@@ -233,7 +233,7 @@ def _check_constraints(alloc, inputs, mode) -> list:
     """17a-c violations of one finalized allocation (empty = clean)."""
     cfg = inputs.cfg
     errs = []
-    reports, _ = network_report(alloc.serving, alloc.per_gnb, alloc.states,
+    reports, _ = network_report(alloc.serving, alloc.states,
                                 inputs.true_rows, cfg, inputs.n_ues,
                                 alloc.initial_gnbs)
     for r in reports:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -122,9 +123,9 @@ def test_single_ue_served_on_best_beam(tiny_cfg):
     inputs = make_inputs(tiny_cfg, {(0, 0): [_strong(10.0, -170.0)]}, 1, 1)
     alloc = allocate(inputs, AllocMode.FIVEG_NR)
     assert alloc.serving[0].candidate_rank == 1
-    reports, summary = network_report(alloc.serving, alloc.per_gnb,
-                                      alloc.states, inputs.true_rows,
-                                      tiny_cfg, 1, alloc.initial_gnbs)
+    reports, summary = network_report(alloc.serving, alloc.states,
+                                      inputs.true_rows, tiny_cfg, 1,
+                                      alloc.initial_gnbs)
     assert summary["coverage"] == 1.0
     # no interference of any kind: SINR equals SNR
     assert reports[0].sinr_db == pytest.approx(reports[0].snr_db)
@@ -229,8 +230,8 @@ def test_constraints_hold_on_random_instances(tiny_cfg, mode):
         inputs = make_inputs(tiny_cfg, pairs, 2, n_ues)
         alloc = allocate(inputs, mode)
         thresh = tiny_cfg.sinr_min_db
-        powers = evaluate_allocation(alloc.serving, alloc.per_gnb,
-                                     alloc.states, inputs.true_rows)
+        powers = evaluate_allocation(alloc.serving, alloc.states,
+                                     inputs.true_rows)
         for u, (s, ia, ie) in powers.items():
             sinr_db = 10 * math.log10(s / (ia + ie + tiny_cfg.noise_w))
             assert sinr_db >= thresh - 1e-9          # 17a
@@ -343,10 +344,9 @@ def test_oracle_matches_naive_enumerator(tiny_cfg):
     for seed in range(6):
         inputs = _small_random_inputs(tiny_cfg, seed)
         alloc = allocate_oracle(inputs)
-        reports, _ = network_report(alloc.serving, alloc.per_gnb,
-                                    alloc.states, inputs.true_rows,
-                                    inputs.cfg, inputs.n_ues,
-                                    alloc.initial_gnbs)
+        reports, _ = network_report(alloc.serving, alloc.states,
+                                    inputs.true_rows, inputs.cfg,
+                                    inputs.n_ues, alloc.initial_gnbs)
         got = sum(r.rate_bps for r in reports)
         want, _ = _naive_oracle(inputs)
         assert got == pytest.approx(max(want, 0.0), rel=1e-9, abs=1e-3)
@@ -356,17 +356,15 @@ def test_oracle_dominates_heuristics(tiny_cfg):
     for seed in range(4):
         inputs = _small_random_inputs(tiny_cfg, 100 + seed)
         oracle = allocate_oracle(inputs)
-        o_reports, _ = network_report(oracle.serving, oracle.per_gnb,
-                                      oracle.states, inputs.true_rows,
-                                      inputs.cfg, inputs.n_ues,
-                                      oracle.initial_gnbs)
+        o_reports, _ = network_report(oracle.serving, oracle.states,
+                                      inputs.true_rows, inputs.cfg,
+                                      inputs.n_ues, oracle.initial_gnbs)
         o_rate = sum(r.rate_bps for r in o_reports)
         for mode in (AllocMode.FIVEG_NR, AllocMode.DIABA, AllocMode.CIABA):
             alloc = allocate(inputs, mode)
-            reports, _ = network_report(alloc.serving, alloc.per_gnb,
-                                        alloc.states, inputs.true_rows,
-                                        inputs.cfg, inputs.n_ues,
-                                        alloc.initial_gnbs)
+            reports, _ = network_report(alloc.serving, alloc.states,
+                                        inputs.true_rows, inputs.cfg,
+                                        inputs.n_ues, alloc.initial_gnbs)
             assert o_rate >= sum(r.rate_bps for r in reports) - 1e-6
         assert o_rate >= 0.0
 
@@ -435,8 +433,7 @@ def _reference_oracle(inputs):
                       for g, ues in per_gnb.items()}
         except (CapacityError, RankDeficiencyError):
             continue
-        powers = evaluate_allocation(serving, per_gnb, states,
-                                     inputs.true_rows)
+        powers = evaluate_allocation(serving, states, inputs.true_rows)
         total = 0.0
         for s, ia, ie in powers.values():
             sinr = s / (ia + ie + cfg.noise_w)
@@ -608,14 +605,16 @@ class _UnprunedEngine:
         if vec is None:
             state = self.states[gnb]
             vec = state.p_per_ue * column_powers(
-                self.inputs.true_rows[(ue, gnb)], state.w_combined).sum(axis=1)
+                self.inputs.true_rows[(ue, gnb)].matrix,
+                state.w_combined).sum(axis=1)
             self._inter_memo[key] = vec
         return vec
 
     def init_inter(self, ue):
         bpl = self.serving[ue]
+        pos = self.inputs.true_rows[(ue, bpl.gnb)].index[bpl.ue_beam]
         self.inter[ue] = {
-            g: float(self.inter_vec(ue, g)[bpl.ue_beam])
+            g: float(self.inter_vec(ue, g)[pos])
             for g in range(self.inputs.n_gnbs)
             if g != bpl.gnb and self.states[g] is not None}
 
@@ -752,9 +751,10 @@ def _unpruned_iaba(inputs, mode):
         for b in cands.bpls:
             inter = 0.0
             if vecs:
-                inter = float(total[b.ue_beam])
+                pos = inputs.true_rows[(ue, b.gnb)].index[b.ue_beam]
+                inter = float(total[pos])
                 if b.gnb in vecs:
-                    inter -= float(vecs[b.gnb][b.ue_beam])
+                    inter -= float(vecs[b.gnb][pos])
             bounds.append(engine.snr_bound(ue, b.gnb, b.ue_beam)
                           * engine.noise / (engine.noise + inter))
         order = sorted(range(len(cands.bpls)), key=lambda i: -bounds[i])
@@ -860,6 +860,35 @@ def test_try_candidate_changes_no_state(monkeypatch):
         assert True in accepted and False in accepted
 
 
+def test_panel_load_matches_serving_after_every_change(monkeypatch):
+    # capacity_ok reads a per-(gNB, panel) count kept by commit and _drop;
+    # after every commit and every drop it equals a recount of the serving
+    # BPLs
+    inputs = _desk_inputs()
+    panel_of = inputs.gnb_book.panel
+    changes = []
+
+    def watch(name):
+        original = getattr(allocation._Engine, name)
+
+        def watched(self, *args):
+            out = original(self, *args)
+            assert self._panel_load == Counter(
+                (b.gnb, int(panel_of[b.gnb_beam]))
+                for b in self.serving.values())
+            changes.append(name)
+            return out
+
+        monkeypatch.setattr(allocation._Engine, name, watched)
+
+    watch("commit")
+    watch("remove_many")
+    for mode in (AllocMode.FIVEG_NR, AllocMode.DBF_5GNR, AllocMode.DIABA,
+                 AllocMode.CIABA):
+        allocate(inputs, mode)
+    assert "commit" in changes and "remove_many" in changes
+
+
 def test_remove_many_sheds_weakest_on_rank_failure(tiny_cfg, monkeypatch):
     # gNB 0 serves UEs 0-3 and gNB 1 UEs 4-5; each UE also hears the other
     # gNB, weaker and from another direction
@@ -900,8 +929,8 @@ def test_remove_many_sheds_weakest_on_rank_failure(tiny_cfg, monkeypatch):
     assert engine.states[0].served == [1, 3]
     assert set(engine.sig) == set(engine.intra) == set(engine.inter) == {1, 3}
     assert all(1 not in d for d in engine.inter.values())
-    powers = evaluate_allocation(engine.serving, engine.per_gnb,
-                                 engine.states, inputs.true_rows)
+    powers = evaluate_allocation(engine.serving, engine.states,
+                                 inputs.true_rows)
     for u, (s, ia, ie) in powers.items():
         assert engine.sinr_lin(u) == pytest.approx(
             s / (ia + ie + engine.noise), rel=1e-9)
@@ -938,7 +967,7 @@ def test_cbf_beats_hbf_without_interference(tiny_cfg):
              for u in range(2)}
     inputs = make_inputs(tiny_cfg, pairs, 1, 2)
     hbf = allocate(inputs, AllocMode.FIVEG_NR)
-    h_reports, _ = network_report(hbf.serving, hbf.per_gnb, hbf.states,
+    h_reports, _ = network_report(hbf.serving, hbf.states,
                                   inputs.true_rows, tiny_cfg, 2,
                                   hbf.initial_gnbs)
     _, c_reports = allocate_cbf_tdma(inputs, np.random.default_rng(0))
@@ -960,7 +989,7 @@ def test_pair_without_paths_runs_every_mode(tiny_cfg):
              (1, 1): [_strong(100.0, 20.0)],
              (0, 2): [], (1, 2): []}
     inputs = make_inputs(cfg, pairs, 2, 3)
-    assert not np.any(inputs.true_rows[(0, 1)])
+    assert not np.any(inputs.true_rows[(0, 1)].matrix)
     assert all(b.gnb == 0 for b in inputs.sweeps[0])
     assert len(inputs.sweeps[2]) == 0
     for mode in AllocMode:
@@ -970,9 +999,9 @@ def test_pair_without_paths_runs_every_mode(tiny_cfg):
                                                np.random.default_rng(0))
         else:
             alloc = allocate(inputs, mode)
-            reports, _ = network_report(alloc.serving, alloc.per_gnb,
-                                        alloc.states, inputs.true_rows, cfg,
-                                        inputs.n_ues, alloc.initial_gnbs)
+            reports, _ = network_report(alloc.serving, alloc.states,
+                                        inputs.true_rows, cfg, inputs.n_ues,
+                                        alloc.initial_gnbs)
         assert [r.ue for r in reports] == [0, 1, 2], mode
         assert {r.ue for r in reports if r.served} == set(alloc.serving)
         # both gNBs transmit, so UE 0 reads its zero rows toward gNB 1

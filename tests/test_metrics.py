@@ -129,7 +129,7 @@ def test_intra_interference_single_ue_is_zero():
 
 def test_evaluate_allocation_matches_reference_ops():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
-    powers = evaluate_allocation(alloc.serving, alloc.per_gnb, alloc.states,
+    powers = evaluate_allocation(alloc.serving, alloc.states,
                                  inputs.true_rows)
     ch_01 = assemble_channel(pairs[(0, 0)], cfg, ORIENT, ORIENT)
     ch_11 = assemble_channel(pairs[(1, 0)], cfg, ORIENT, ORIENT)
@@ -145,7 +145,7 @@ def test_evaluate_allocation_matches_reference_ops():
 
 def test_sinr_bounded_by_snr():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
-    reports, _ = network_report(alloc.serving, alloc.per_gnb, alloc.states,
+    reports, _ = network_report(alloc.serving, alloc.states,
                                 inputs.true_rows, cfg, 2,
                                 alloc.initial_gnbs)
     for r in reports:

@@ -6,6 +6,7 @@ from mmwsim.beamsweep import BeamPairLink
 from mmwsim.codebook import default_full_codebook
 from mmwsim.errors import (CapacityError, DimensionMismatchError,
                            RankDeficiencyError)
+from mmwsim.metrics import BeamRows
 from mmwsim.precoder import compose, dbf_from_rows, rf_stage, zf_stage
 from mmwsim.scenario import NetworkConfig
 
@@ -82,7 +83,8 @@ def test_compose_dimension_check():
 def _one_gnb_inputs(rows_of_ue: dict) -> AllocationInputs:
     """One gNB whose UEs each have a single combined row (UE beam 0)."""
     cfg = NetworkConfig(n_t=16, n_r=4, n_q_sweep_bits=2, p_max_dbm=30.0)
-    rows = {(u, 0): row[None, :] for u, row in rows_of_ue.items()}
+    rows = {(u, 0): BeamRows(row[None, :], {0: 0})
+            for u, row in rows_of_ue.items()}
     return AllocationInputs(cfg=cfg, n_gnbs=1, n_ues=len(rows), sweeps={},
                             true_rows=rows, est_rows=rows,
                             gnb_book=default_full_codebook(2, 16))

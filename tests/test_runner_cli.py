@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from mmwsim import runner
-from mmwsim.allocation import AllocMode
+from mmwsim.allocation import (AllocMode, _initial_gnbs, allocate,
+                               build_candidates)
 from mmwsim.beamsweep import combined_rows
 from mmwsim.channel import assemble_channel
 from mmwsim.cli import main
 from mmwsim.codebook import default_full_codebook, estimation_grid
 from mmwsim.csi import quantize_paths
+from mmwsim.metrics import column_powers
 from mmwsim.runner import (RECORD_FIELDS, desk_scale_config, emit,
                            prepare_realization, run_campaign, run_realization)
 from mmwsim.scenario import NetworkConfig
@@ -198,19 +200,39 @@ def test_trace_file_round_trip(tmp_path):
     assert ctx.inputs.sweeps == ctx2.inputs.sweeps
 
 
-def test_sweep_rsrp_is_read_from_the_allocators_rows():
+def _spy_sweep(monkeypatch):
+    """Replace runner.sweep by a recording wrapper; ue -> the gNB -> rows
+    dict it read."""
+    swept = {}
+    sweep = runner.sweep
+
+    def spy(ue, bounces, rows, *args, **kwargs):
+        swept[ue] = rows
+        return sweep(ue, bounces, rows, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "sweep", spy)
+    return swept
+
+
+def test_sweep_rsrp_is_read_from_the_allocators_rows(monkeypatch):
     # the sweep and the allocators share one row matrix R = W_ue^H H per
     # pair: every swept RSRP is p_max |R W_gnb|^2 at (ue_beam, gnb_beam), bit
     # for bit.  (Per-entry scalar arithmetic sums or squares in another
-    # order than the array kernels and may differ in the last bit.)
+    # order than the array kernels and may differ in the last bit.)  The
+    # sweep reads R at every UE beam; the allocators keep its rows at the
+    # UE's read beams.
     cfg = desk_scale_config(n_realizations=1)
+    swept = _spy_sweep(monkeypatch)
     inputs = prepare_realization(cfg, 0).inputs
     n_bpls = 0
     for ue, bpls in inputs.sweeps.items():
+        for g, full in swept[ue].items():
+            kept = inputs.true_rows[(ue, g)]
+            assert np.array_equal(kept.matrix, full[list(kept.index)])
         tables = {}
         for b in bpls:
             if b.gnb not in tables:
-                c = inputs.true_rows[(ue, b.gnb)] @ inputs.gnb_book.matrix
+                c = swept[ue][b.gnb] @ inputs.gnb_book.matrix
                 tables[b.gnb] = cfg.p_max_w * (c.real ** 2 + c.imag ** 2)
             assert tables[b.gnb][b.ue_beam, b.gnb_beam] == b.rsrp
             n_bpls += 1
@@ -275,7 +297,8 @@ def test_estimated_rows_on_demand_match_eager_build(monkeypatch):
     expected = _eager_estimated_rows(cfg, dep, paths)
     assert any(not np.any(r) for r in expected.values())
     for key, ref in expected.items():
-        assert np.array_equal(inputs.est_rows[key], ref), key
+        kept = inputs.est_rows[key]
+        assert np.array_equal(kept.matrix, ref[list(kept.index)]), key
     assert len(inputs.est_rows) == n_pairs
     with pytest.raises(KeyError):
         inputs.est_rows[(dep.n_ues, 0)]
@@ -300,3 +323,102 @@ def test_prepare_keeps_no_channel_blocks(monkeypatch, n_q_csi_bits):
     gc.collect()
     assert all(r() is None for r in refs)
     assert bool(refs) == (not math.isinf(n_q_csi_bits))
+
+
+def _full_true_rows(cfg, dep, paths, ue_book, g, u):
+    """Reference: one pair's true rows at every UE beam, as prepare_realization
+    once kept them; all zeros when the pair has no paths."""
+    plist = paths[(g, u)]
+    if not plist:
+        return np.zeros((ue_book.n_beams, 4 * cfg.n_t), dtype=complex)
+    return combined_rows(
+        assemble_channel(plist, cfg, dep.gnb_panel_orientations[g],
+                         dep.ue_panel_orientations[u]), ue_book)
+
+
+@pytest.mark.parametrize("n_csi_rs", [4, math.inf])
+def test_pairs_keep_rows_only_at_their_read_beams(n_csi_rs):
+    # a 60 m blockage distance leaves some desk pairs without paths
+    cfg = desk_scale_config(n_realizations=1, n_q_csi_bits=6,
+                            n_csi_rs=n_csi_rs, d_blockage_m=60.0)
+    ctx = prepare_realization(cfg, 0)
+    dep, inputs = ctx.dep, ctx.inputs
+    # a read outside the kept beams raises, so every mode reads inside them
+    # (the oracle's guard rails refuse a desk realization)
+    for mode in AllocMode:
+        if mode is not AllocMode.ORACLE:
+            run_realization(ctx, mode, cfg, 0)
+
+    ue_book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
+    paths = runner._pair_paths(cfg, dep)
+    assert any(not plist for plist in paths.values())
+    est_ref = _eager_estimated_rows(cfg, dep, paths)
+    initial = _initial_gnbs(inputs.sweeps)
+    sizes = []
+    for u in range(dep.n_ues):
+        # the receive beams of the UE's dIABA and cIABA candidates, at
+        # least two
+        want = {b.ue_beam for mode in (AllocMode.DIABA, AllocMode.CIABA)
+                for b in build_candidates(u, inputs.sweeps[u], mode,
+                                          initial.get(u, -1), n_csi_rs).bpls}
+        if len(want) < 2:
+            want |= {0, 1}
+        sizes.append(len(want))
+        outside = min(set(range(ue_book.n_beams)) - want)
+        for g in range(dep.n_gnbs):
+            true, est = inputs.true_rows[(u, g)], inputs.est_rows[(u, g)]
+            beams = list(true.index)
+            assert beams == sorted(want)
+            assert list(est.index) == beams
+            full = _full_true_rows(cfg, dep, paths, ue_book, g, u)
+            assert np.array_equal(true.matrix, full[beams]), (u, g)
+            assert np.array_equal(est.matrix, est_ref[(u, g)][beams]), (u, g)
+            for rows in (true, est):
+                with pytest.raises(KeyError):
+                    rows[outside]
+    # no pair keeps its rows at every UE beam
+    assert max(sizes) < ue_book.n_beams
+    if math.isfinite(n_csi_rs):
+        assert max(sizes) <= 2 * n_csi_rs
+
+
+def test_kept_row_products_have_the_bits_of_full_products(monkeypatch):
+    # the allocators multiply a pair's kept rows R[S] where they once
+    # multiplied its full R; outputs stay byte-identical because each row of
+    # a BLAS product over two or more rows has the same bits whichever other
+    # rows are in it.  If a BLAS update breaks that, this test says why the
+    # fingerprints moved.
+    cfg = desk_scale_config(n_realizations=1)
+    swept = _spy_sweep(monkeypatch)
+    inputs = prepare_realization(cfg, 0).inputs
+    states = allocate(inputs, AllocMode.FIVEG_NR).states
+    precoders = [(g, s.w_combined) for g, s in sorted(states.items())]
+    # and a gNB serving one UE
+    precoders.append((precoders[0][0], precoders[0][1][:, :1]))
+    assert len({w.shape[1] for _, w in precoders}) > 2
+    n_beams = 4 * 2 ** cfg.n_q_sweep_bits
+    rng = np.random.default_rng(0)
+    for g, w in precoders:
+        for u in range(0, inputs.n_ues, 7):
+            full = swept[u][g]
+            ref = column_powers(full, w)
+            for size in (2, 3, 5, 8, 29, 43, n_beams - 1):
+                beams = np.sort(rng.choice(n_beams, size, replace=False))
+                assert np.array_equal(column_powers(full[beams], w),
+                                      ref[beams]), (g, u, size)
+
+
+def test_campaign_frees_each_realization_before_the_next(monkeypatch):
+    prepare = runner.prepare_realization
+    prepared = []
+
+    def watched(cfg, realization):
+        assert all(ref() is None for ref in prepared)
+        ctx = prepare(cfg, realization)
+        prepared.append(weakref.ref(ctx.inputs))
+        return ctx
+
+    monkeypatch.setattr(runner, "prepare_realization", watched)
+    cfg = _small_cfg(n_realizations=3, n_q_csi_bits=6, n_csi_rs=4)
+    run_campaign(cfg, [m for m in AllocMode if m is not AllocMode.ORACLE])
+    assert len(prepared) == 3
