@@ -3,7 +3,7 @@
 from .allocation import (Allocation, AllocationInputs, AllocMode,
                          allocate, build_candidates)
 from .beamsweep import BeamPairLink, initial_association, sweep
-from .channel import (MultiPanelChannel, PropagationPath, assemble_channel,
+from .channel import (MultiPanelChannel, Paths, assemble_channel,
                       ingest_paths, synthesize_paths, ula_steering,
                       ura_steering)
 from .codebook import (EstimationGrid, FullCodebook, SectorCodebook,

@@ -24,18 +24,41 @@ class BeamPairLink:
     candidate_rank: int    # 1 = strongest across all of this UE's candidates
 
 
+def _used_blocks(dominant: np.ndarray):
+    """(UE panel, gNB panel) of every block some path enters."""
+    return zip(*np.nonzero(dominant >= 0))
+
+
 def combined_rows(channel: MultiPanelChannel,
                   ue_book: FullCodebook) -> np.ndarray:
-    """R = W_ue^H H: the combined row w_c^H H of every UE beam, (n_beams, 4 n_t)."""
-    return ue_book.matrix.conj().T @ channel.full()
+    """R = W_ue^H H: the combined row w_c^H H of every UE beam, (n_beams, 4 n_t).
+
+    A UE beam lives on one panel, so R is built block by block: the rows of
+    panel p's beams at gNB panel q's columns are W_ue,p^H H_pq, and zero
+    where no path enters block (p, q).
+    """
+    n_t, pp = channel.n_t, ue_book.per_panel
+    rows = np.zeros((ue_book.n_beams, 4 * n_t), dtype=complex)
+    for p, q in _used_blocks(channel.block_dominant_bounces):
+        rows[p * pp:(p + 1) * pp, q * n_t:(q + 1) * n_t] = (
+            ue_book.sector_weights[p].conj().T @ channel.blocks[p, q])
+    return rows
 
 
-def rsrp_table(rows: np.ndarray, gnb_book: FullCodebook,
-               p_ssb: float) -> np.ndarray:
+def rsrp_table(rows: np.ndarray, dominant: np.ndarray, gnb_book: FullCodebook,
+               ue_book: FullCodebook, p_ssb: float) -> np.ndarray:
     """RSRP of every (UE beam, gNB beam) pair, p_ssb * |w_c^H H w_p|^2, from
-    the pair's combined rows R."""
-    coupling = rows @ gnb_book.matrix
-    return p_ssb * (coupling.real ** 2 + coupling.imag ** 2)
+    the pair's combined rows R and dominant-bounce table, block by block
+    like R; zero where no path enters the block."""
+    n_t = rows.shape[1] // 4
+    pu, pg = ue_book.per_panel, gnb_book.per_panel
+    table = np.zeros((ue_book.n_beams, gnb_book.n_beams))
+    for p, q in _used_blocks(dominant):
+        coupling = (rows[p * pu:(p + 1) * pu, q * n_t:(q + 1) * n_t]
+                    @ gnb_book.sector_weights[q])
+        table[p * pu:(p + 1) * pu, q * pg:(q + 1) * pg] = p_ssb * (
+            coupling.real ** 2 + coupling.imag ** 2)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +113,7 @@ def sweep(ue: int, bounces: dict, rows: dict, gnb_book: FullCodebook,
         dominant = bounces[gnb]
         if dominant is None:
             continue
-        table = rsrp_table(rows[gnb], gnb_book, p_ssb)
+        table = rsrp_table(rows[gnb], dominant, gnb_book, ue_book, p_ssb)
         ub, gb = np.nonzero(table >= floor_w)
         los = dominant[ue_book.panel[ub], gnb_book.panel[gb]] == 0
         parts.append((table[ub, gb], np.full(len(ub), gnb), gb, ub, los))

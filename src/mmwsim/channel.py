@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import TraceParseError, TraceReferenceError
-from .scenario import Deployment, NetworkConfig
+from .scenario import Deployment, NetworkConfig, direction_deg
 
 SPEED_OF_LIGHT = 299792458.0
 PANEL_HALF_WIDTH_DEG = 45.0   # angular gating around each panel boresight
@@ -24,20 +24,6 @@ D_OVER_LAMBDA = 0.5           # half-wavelength element spacing throughout
 def wrap_angle_deg(a):
     """Wrap azimuth angles into [-180, 180)."""
     return (np.asarray(a) + 180.0) % 360.0 - 180.0
-
-
-def direction_deg(src: np.ndarray, dst: np.ndarray) -> tuple[float, float]:
-    """(azimuth, elevation) of the ray leaving ``src`` towards ``dst``."""
-    return _azel(np.asarray(dst, dtype=float) - np.asarray(src, dtype=float))
-
-
-def _azel(d: np.ndarray) -> tuple[float, float]:
-    """(azimuth, elevation) of the direction vector ``d``."""
-    az = math.degrees(math.atan2(d[1], d[0]))
-    el = math.degrees(math.atan2(d[2], math.hypot(d[0], d[1])))
-    if az >= 180.0:
-        az -= 360.0
-    return az, el
 
 
 def fspl_db(distance_m: float, carrier_hz: float) -> float:
@@ -86,21 +72,39 @@ def panel_grid(n_elements: int) -> tuple[int, int]:
     return n_elements, 1
 
 
-@dataclass(frozen=True)
-class PropagationPath:
-    """One LOS or reflected ray between a gNB and a UE (global angle frames)."""
+_PATH_FIELDS = ("gain", "aod_az_deg", "aod_el_deg", "aoa_az_deg",
+                "aoa_el_deg", "bounces", "length_m")
+_PATH_DTYPES = (complex, float, float, float, float, int, float)
 
-    gain: complex
-    aod_az_deg: float
-    aod_el_deg: float
-    aoa_az_deg: float
-    aoa_el_deg: float
-    bounces: int
-    path_length_m: float
 
-    @property
-    def is_los(self) -> bool:
-        return self.bounces == 0
+@dataclass(frozen=True, eq=False)
+class Paths:
+    """The LOS and reflected rays between one gNB and one UE, one array
+    entry per ray (global angle frames); ``len()`` counts the rays."""
+
+    gain: np.ndarray         # (k,) complex
+    aod_az_deg: np.ndarray   # (k,)
+    aod_el_deg: np.ndarray   # (k,)
+    aoa_az_deg: np.ndarray   # (k,)
+    aoa_el_deg: np.ndarray   # (k,)
+    bounces: np.ndarray      # (k,) int; 0 = LOS
+    length_m: np.ndarray     # (k,)
+
+    @classmethod
+    def from_rows(cls, rows) -> "Paths":
+        """Rays from (gain, aod_az, aod_el, aoa_az, aoa_el, bounces,
+        length_m) tuples."""
+        cols = list(zip(*rows)) or [()] * len(_PATH_FIELDS)
+        return cls(*(np.array(c, dtype=t) for c, t in zip(cols, _PATH_DTYPES)))
+
+    def __len__(self) -> int:
+        return len(self.gain)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Paths):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in _PATH_FIELDS)
 
 
 @dataclass
@@ -121,15 +125,9 @@ class MultiPanelChannel:
     def n_t(self) -> int:
         return self.blocks.shape[3]
 
-    def full(self) -> np.ndarray:
-        """Stack the blocks into the (4 n_r, 4 n_t) full-array matrix."""
-        return self.blocks.transpose(0, 2, 1, 3).reshape(4 * self.n_r,
-                                                         4 * self.n_t)
-
 
 def synthesize_paths(dep: Deployment, gnb: int, ue: int,
-                     rng: np.random.Generator,
-                     cfg: NetworkConfig) -> list[PropagationPath]:
+                     rng: np.random.Generator, cfg: NetworkConfig) -> Paths:
     """Generate LOS + single-bounce paths for one gNB-UE pair.
 
     Scatterers are shared across all pairs of the realization, so nearby UEs
@@ -141,86 +139,92 @@ def synthesize_paths(dep: Deployment, gnb: int, ue: int,
     """
     g = dep.gnb_positions[gnb]
     u = dep.ue_positions[ue]
-    lam = cfg.wavelength_m
-    paths: list[PropagationPath] = []
-
     d_los = float(np.linalg.norm(u - g))
     los_draw = rng.uniform()
     scat_draws = rng.uniform(size=len(dep.scatterer_positions))
 
-    if d_los > 0 and los_draw < math.exp(-d_los / cfg.d_blockage_m):
-        mag = 10 ** (-fspl_db(d_los, cfg.carrier_hz) / 20.0)
-        phase = -2.0 * math.pi * d_los / lam
-        aod = direction_deg(g, u)
-        aoa = direction_deg(u, g)
-        paths.append(PropagationPath(
-            gain=mag * complex(math.cos(phase), math.sin(phase)),
-            aod_az_deg=aod[0], aod_el_deg=aod[1],
-            aoa_az_deg=aoa[0], aoa_el_deg=aoa[1],
-            bounces=0, path_length_m=d_los))
+    # candidate ray 0 is the LOS, ray 1 + s reflects off scatterer s; the
+    # legs of a reflection come from the per-node tables of the deployment
+    g_length, g_az, g_el = dep.gnb_legs[:, gnb]
+    u_length, u_az, u_el = dep.ue_legs[:, ue]
+    total = g_length + u_length
+    length = [d_los] + total.tolist()
+    draws = [los_draw] + scat_draws.tolist()
+    seen = [i for i, (d, x) in enumerate(zip(length, draws))
+            if d > 0 and x < math.exp(-d / cfg.d_blockage_m)]
+    gain = [_ray_gain(length[i], fspl_db(length[i], cfg.carrier_hz)
+                      + (cfg.reflection_loss_db if i else 0.0), cfg)
+            for i in seen]
 
-    # each leg length is its own dot product, as np.linalg.norm takes it: a
-    # row-wise array reduction sums in another order and moves the last bit
-    to_s = dep.scatterer_positions - g
-    from_u = dep.scatterer_positions - u
-    for s_idx, (d1, d2) in enumerate(zip(to_s, from_u)):
-        total = math.sqrt(d1.dot(d1)) + math.sqrt(d2.dot(d2))
-        if total <= 0:
-            continue
-        if scat_draws[s_idx] >= math.exp(-total / cfg.d_blockage_m):
-            continue
-        loss_db = fspl_db(total, cfg.carrier_hz) + cfg.reflection_loss_db
-        mag = 10 ** (-loss_db / 20.0)
-        phase = -2.0 * math.pi * total / lam
-        aod = _azel(d1)
-        aoa = _azel(d2)
-        paths.append(PropagationPath(
-            gain=mag * complex(math.cos(phase), math.sin(phase)),
-            aod_az_deg=aod[0], aod_el_deg=aod[1],
-            aoa_az_deg=aoa[0], aoa_el_deg=aoa[1],
-            bounces=1, path_length_m=total))
-    return _expand_clusters(paths, rng, cfg)
+    def ray(los_value, reflection_values):
+        """The seen rays' entries: the LOS value, then one per scatterer."""
+        return np.concatenate(([los_value], reflection_values))[seen]
+
+    los_aod, los_aoa = direction_deg(g, u), direction_deg(u, g)
+    rays = Paths(gain=np.array(gain, dtype=complex),
+                 aod_az_deg=ray(los_aod[0], g_az),
+                 aod_el_deg=ray(los_aod[1], g_el),
+                 aoa_az_deg=ray(los_aoa[0], u_az),
+                 aoa_el_deg=ray(los_aoa[1], u_el),
+                 bounces=ray(0, np.ones(len(total), dtype=int)),
+                 length_m=ray(d_los, total))
+    return _expand_clusters(rays, rng, cfg)
 
 
-def _expand_clusters(paths: list[PropagationPath], rng: np.random.Generator,
-                     cfg: NetworkConfig) -> list[PropagationPath]:
-    """Split each ray into n_subpaths diffuse rays of equal power.
+def _ray_gain(length_m: float, loss_db: float, cfg: NetworkConfig) -> complex:
+    """Complex gain of a ray: path loss magnitude, propagation phase."""
+    mag = 10 ** (-loss_db / 20.0)
+    phase = -2.0 * math.pi * length_m / cfg.wavelength_m
+    return mag * complex(math.cos(phase), math.sin(phase))
+
+
+def _expand_clusters(rays: Paths, rng: np.random.Generator,
+                     cfg: NetworkConfig) -> Paths:
+    """Split each ray into n_subpaths diffuse rays of equal power: the
+    nominal ray, scaled, then its n_subpaths - 1 diffuse rays.
 
     Each diffuse ray draws, in this order, its (aod, aoa) azimuth offsets,
     its (aod, aoa) elevation offsets and its phase: the pair's stream gives
     the same numbers as per-ray ``rng.normal`` and ``rng.uniform`` calls.
     """
     n = cfg.n_subpaths
-    if n <= 1 or cfg.cluster_spread_deg <= 0.0 or not paths:
-        return paths
+    if n <= 1 or cfg.cluster_spread_deg <= 0.0 or not len(rays):
+        return rays
     s_az = cfg.cluster_spread_deg
     s_el = 0.5 * s_az
     scale = 1.0 / math.sqrt(n)
-    m = n - 1
-    z = np.empty((len(paths) * m, 4))
-    uni = np.empty(len(paths) * m)
-    for i in range(len(uni)):
-        rng.standard_normal(out=z[i])
-        uni[i] = rng.random()
-    nominal = np.repeat([(p.aod_az_deg, p.aoa_az_deg, p.aod_el_deg,
-                          p.aoa_el_deg) for p in paths], m, axis=0)
+    k, m = len(rays), n - 1
+    z = np.empty((k * m, 4))
+    uni = []
+    normal, draw, keep = rng.standard_normal, rng.random, uni.append
+    for row in z:
+        normal(out=row)
+        keep(draw())
+    nominal = np.repeat(np.column_stack(
+        [rays.aod_az_deg, rays.aoa_az_deg, rays.aod_el_deg, rays.aoa_el_deg]),
+        m, axis=0)
     # loc + scale * draw, as rng.normal(loc, scale) and rng.uniform(low,
     # high) compute it
-    az = wrap_angle_deg(nominal[:, :2] + (0.0 + s_az * z[:, :2])).tolist()
-    el = np.clip(nominal[:, 2:] + (0.0 + s_el * z[:, 2:]), -90.0, 90.0).tolist()
-    phi = (0.0 + 2.0 * math.pi * uni).tolist()
-    out: list[PropagationPath] = []
-    for j, p in enumerate(paths):
-        out.append(PropagationPath(
-            p.gain * scale, p.aod_az_deg, p.aod_el_deg, p.aoa_az_deg,
-            p.aoa_el_deg, p.bounces, p.path_length_m))
-        mag = abs(p.gain) * scale
-        for i in range(j * m, (j + 1) * m):
-            out.append(PropagationPath(
-                mag * complex(math.cos(phi[i]), math.sin(phi[i])),
-                az[i][0], el[i][0], az[i][1], el[i][1],
-                p.bounces, p.path_length_m))
-    return out
+    az = wrap_angle_deg(nominal[:, :2] + (0.0 + s_az * z[:, :2]))
+    el = np.clip(nominal[:, 2:] + (0.0 + s_el * z[:, 2:]), -90.0, 90.0)
+    phi = (0.0 + 2.0 * math.pi * np.array(uni)).tolist()
+    # scalar abs() and math.cos/sin: NumPy's array versions differ from
+    # them in the last bit on some inputs
+    mag = np.repeat(np.array(list(map(abs, rays.gain.tolist()))) * scale, m)
+    diffuse = np.empty(k * m, dtype=complex)
+    diffuse.real = mag * np.array(list(map(math.cos, phi)))
+    diffuse.imag = mag * np.array(list(map(math.sin, phi)))
+
+    def cluster(nominal_col, diffuse_col):
+        return np.column_stack([nominal_col, diffuse_col.reshape(k, m)]).ravel()
+
+    return Paths(gain=cluster(rays.gain * scale, diffuse),
+                 aod_az_deg=cluster(rays.aod_az_deg, az[:, 0]),
+                 aod_el_deg=cluster(rays.aod_el_deg, el[:, 0]),
+                 aoa_az_deg=cluster(rays.aoa_az_deg, az[:, 1]),
+                 aoa_el_deg=cluster(rays.aoa_el_deg, el[:, 1]),
+                 bounces=np.repeat(rays.bounces, n),
+                 length_m=np.repeat(rays.length_m, n))
 
 
 _TRACE_COLUMNS = ["gnb_id", "ue_id", "gain_re", "gain_im", "aod_az", "aod_el",
@@ -229,12 +233,12 @@ _TRACE_COLUMNS = ["gnb_id", "ue_id", "gain_re", "gain_im", "aod_az", "aod_el",
 
 def ingest_paths(trace_file: str, n_gnbs: Optional[int] = None,
                  n_ues: Optional[int] = None) -> dict:
-    """Load a path trace: map (gnb, ue) -> list of PropagationPath.
+    """Load a path trace: map (gnb, ue) -> Paths.
 
     Expects delimited text with a header row naming the columns of
     ``_TRACE_COLUMNS``; angles in degrees.
     """
-    result: dict[tuple[int, int], list[PropagationPath]] = {}
+    rows: dict[tuple[int, int], list] = {}
     with open(trace_file, newline="") as fh:
         sample = fh.read(4096)
         fh.seek(0)
@@ -242,7 +246,7 @@ def ingest_paths(trace_file: str, n_gnbs: Optional[int] = None,
         reader = csv.reader(fh, delimiter=delimiter)
         header = next(reader, None)
         if header is None:
-            return result
+            return {}
         header = [h.strip() for h in header]
         if header != _TRACE_COLUMNS:
             raise TraceParseError(
@@ -264,6 +268,9 @@ def ingest_paths(trace_file: str, n_gnbs: Optional[int] = None,
                 length = float(row[9])
             except ValueError as exc:
                 raise TraceParseError(str(exc), line=lineno) from exc
+            if not all(map(math.isfinite, (gain.real, gain.imag, length))):
+                raise TraceParseError("gain and length must be finite",
+                                      line=lineno)
             if not 0 <= bounces <= 2:
                 raise TraceParseError(
                     f"bounces must be in 0..2, got {bounces}", line=lineno)
@@ -279,77 +286,70 @@ def ingest_paths(trace_file: str, n_gnbs: Optional[int] = None,
                 raise TraceReferenceError(f"unknown gnb id {gnb} at line {lineno}")
             if n_ues is not None and not 0 <= ue < n_ues:
                 raise TraceReferenceError(f"unknown ue id {ue} at line {lineno}")
-            result.setdefault((gnb, ue), []).append(PropagationPath(
-                gain=gain, aod_az_deg=aod_az, aod_el_deg=aod_el,
-                aoa_az_deg=aoa_az, aoa_el_deg=aoa_el,
-                bounces=bounces, path_length_m=length))
-    return result
+            rows.setdefault((gnb, ue), []).append(
+                (gain, aod_az, aod_el, aoa_az, aoa_el, bounces, length))
+    return {key: Paths.from_rows(r) for key, r in rows.items()}
 
 
-def _panel_steering(ok: np.ndarray, n_h: int, n_v: int, loc_az: np.ndarray,
-                    el: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steering vectors of the paths one panel admits (mask ``ok``), and
-    each path's column among them (valid where ``ok``)."""
-    idx = np.nonzero(ok)[0]
-    return (_ura_steering_many(n_h, n_v, D_OVER_LAMBDA, loc_az[idx], el[idx]),
-            np.cumsum(ok) - 1)
+def _gate(az: np.ndarray, el: np.ndarray, orientations):
+    """Local azimuths (4, k) of the paths at all four panels of one side,
+    and which of them each panel admits."""
+    loc = wrap_angle_deg(az[None, :] - np.asarray(orientations)[:, None])
+    return loc, (np.abs(loc) <= PANEL_HALF_WIDTH_DEG) & \
+        (np.abs(el) <= PANEL_HALF_WIDTH_DEG)
 
 
-def assemble_channel(paths, cfg: NetworkConfig,
+def _steer(loc: np.ndarray, el: np.ndarray, ok: np.ndarray, n_elements: int):
+    """Steering vectors of every admitted (panel, path), in row-major order
+    (n_elements, admitted), and each (panel, path)'s column among them
+    (valid where admitted)."""
+    panel, path = np.nonzero(ok)
+    n_h, n_v = panel_grid(n_elements)
+    return (_ura_steering_many(n_h, n_v, D_OVER_LAMBDA, loc[panel, path],
+                               el[path]),
+            np.cumsum(ok).reshape(ok.shape) - 1)
+
+
+def assemble_channel(paths: Paths, cfg: NetworkConfig,
                      gnb_orientations: np.ndarray,
                      ue_orientations: np.ndarray) -> MultiPanelChannel:
-    """Build the 4x4 block channel from a path list.
+    """Build the 4x4 block channel from a pair's paths.
 
     Each path enters block (p, q) only if its local azimuth lies within +-45
     deg of both panels' boresights and its elevations within +-45 deg (panels
     have no back lobe).  Blocks use the geometric-channel normalization with
     the block's own surviving path count.  A path's steering vector depends
-    on one panel only, so each panel's is built once and every block takes
-    its columns from them.
+    on one panel only, so each side gates and steers its four panels in one
+    pass and every block takes its columns from them.
     """
     n_t, n_r = cfg.n_t, cfg.n_r
-    nh_t, nv_t = panel_grid(n_t)
-    nh_r, nv_r = panel_grid(n_r)
     blocks = np.zeros((4, 4, n_r, n_t), dtype=complex)
     dominant = np.full((4, 4), -1, dtype=int)
 
-    if paths:
-        aod_az = np.array([p.aod_az_deg for p in paths])
-        aod_el = np.array([p.aod_el_deg for p in paths])
-        aoa_az = np.array([p.aoa_az_deg for p in paths])
-        aoa_el = np.array([p.aoa_el_deg for p in paths])
-        gains = np.array([p.gain for p in paths], dtype=complex)
-        bounce = np.array([p.bounces for p in paths])
-
-        # only paths some UE panel admits can enter a block
-        ue_side = {}    # UE panel -> (admitted mask, steering, columns)
-        ue_any = np.zeros(len(paths), dtype=bool)
-        for p in range(4):
-            loc_aoa = wrap_angle_deg(aoa_az - ue_orientations[p])
-            ok = (np.abs(loc_aoa) <= PANEL_HALF_WIDTH_DEG) & \
-                (np.abs(aoa_el) <= PANEL_HALF_WIDTH_DEG)
-            if ok.any():
-                ue_side[p] = (ok, *_panel_steering(ok, nh_r, nv_r, loc_aoa,
-                                                   aoa_el))
-                ue_any |= ok
-        for q in range(4):
-            loc_aod = wrap_angle_deg(aod_az - gnb_orientations[q])
-            gnb_ok = ue_any & (np.abs(loc_aod) <= PANEL_HALF_WIDTH_DEG) & \
-                (np.abs(aod_el) <= PANEL_HALF_WIDTH_DEG)
-            if not gnb_ok.any():
+    if len(paths):
+        loc_r, ue_ok = _gate(paths.aoa_az_deg, paths.aoa_el_deg,
+                             ue_orientations)
+        loc_t, gnb_ok = _gate(paths.aod_az_deg, paths.aod_el_deg,
+                              gnb_orientations)
+        # only paths some panel of each side admits can enter a block
+        used = ue_ok.any(axis=0) & gnb_ok.any(axis=0)
+        ue_ok &= used
+        gnb_ok &= used
+        a_r_all, col_r = _steer(loc_r, paths.aoa_el_deg, ue_ok, n_r)
+        a_t_all, col_t = _steer(loc_t, paths.aod_el_deg, gnb_ok, n_t)
+        gains = paths.gain
+        for p, q in zip(*np.nonzero(ue_ok.any(axis=1)[:, None]
+                                    & gnb_ok.any(axis=1)[None, :])):
+            idx = np.nonzero(ue_ok[p] & gnb_ok[q])[0]
+            if len(idx) == 0:
                 continue
-            a_t_q, col_t = _panel_steering(gnb_ok, nh_t, nv_t, loc_aod, aod_el)
-            for p, (ue_ok, a_r_p, col_r) in ue_side.items():
-                idx = np.nonzero(ue_ok & gnb_ok)[0]
-                if len(idx) == 0:
-                    continue
-                # take() keeps the C order the per-block steering had
-                a_r = a_r_p.take(col_r[idx], axis=1)
-                a_t = a_t_q.take(col_t[idx], axis=1)
-                scale = math.sqrt(n_r * n_t / len(idx))
-                blocks[p, q] = scale * (a_r * gains[idx]) @ a_t.conj().T
-                dom = idx[np.argmax(np.abs(gains[idx]))]
-                dominant[p, q] = bounce[dom]
+            # take() keeps the C order the per-block steering had
+            a_r = a_r_all.take(col_r[p, idx], axis=1)
+            a_t = a_t_all.take(col_t[q, idx], axis=1)
+            scale = math.sqrt(n_r * n_t / len(idx))
+            blocks[p, q] = scale * (a_r * gains[idx]) @ a_t.conj().T
+            dom = idx[np.argmax(np.abs(gains[idx]))]
+            dominant[p, q] = paths.bounces[dom]
 
     return MultiPanelChannel(blocks=blocks, block_dominant_bounces=dominant)
 

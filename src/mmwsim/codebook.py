@@ -34,6 +34,7 @@ class FullCodebook:
     n_q: int
     per_panel: int
     matrix: np.ndarray        # (4 * n_elements, n_beams); zero outside own panel
+    sector_weights: np.ndarray  # (4, n_elements, per_panel): panel p's block
     panel: np.ndarray         # (n_beams,) owning panel index
     local_az_deg: np.ndarray  # (n_beams,)
 
@@ -82,8 +83,10 @@ def full_codebook(sector_books: list[SectorCodebook]) -> FullCodebook:
             matrix[p * n_el:(p + 1) * n_el, b] = book.weights[:, i]
             panel[b] = p
             local_az[b] = book.beam_azimuths_deg[i]
+    sector_weights = np.array([b.weights for b in sector_books])
     return FullCodebook(n_q=sector_books[0].n_q, per_panel=per_panel,
-                        matrix=matrix, panel=panel, local_az_deg=local_az)
+                        matrix=matrix, sector_weights=sector_weights,
+                        panel=panel, local_az_deg=local_az)
 
 
 def default_full_codebook(n_q: int, n_elements: int) -> FullCodebook:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import PropagationPath, wrap_angle_deg
+from .channel import Paths, wrap_angle_deg
 from .codebook import EstimationGrid
 
 
@@ -30,30 +30,37 @@ def snap_elevation(el_deg, step: float):
     return float(out) if out.ndim == 0 else out
 
 
-def quantize_paths(paths: list, grid: EstimationGrid) -> list:
+def quantize_paths(paths: Paths, grid: EstimationGrid) -> Paths:
     """Snap path angles to the estimation lattice and merge collisions.
 
     With the exact-CSI grid the input is returned unchanged.  Paths that end
     up with identical quantized angle 4-tuples are merged by coherent complex
-    gain summation.  The result feeds ``assemble_channel`` like true paths.
+    gain summation, in path order, at the position of the first; the
+    stronger contributor (against the running sum) keeps its bounce count
+    and length.  The result feeds ``assemble_channel`` like true paths.
     """
-    if grid.is_exact or not paths:
-        return list(paths)
-    angles = np.array([(p.aod_az_deg, p.aoa_az_deg, p.aod_el_deg, p.aoa_el_deg)
-                       for p in paths])
-    az = snap_azimuth(angles[:, :2], grid.az_step_deg).tolist()
-    el = snap_elevation(angles[:, 2:], grid.el_step_deg).tolist()
-    merged: dict = {}
-    for p, (aod_az, aoa_az), (aod_el, aoa_el) in zip(paths, az, el):
-        key = (round(aod_az, 9), round(aod_el, 9),
-               round(aoa_az, 9), round(aoa_el, 9))
-        gain, bounces, length = p.gain, p.bounces, p.path_length_m
-        prev = merged.get(key)
-        if prev is not None:
-            # keep the stronger contributor's bounce count and length
-            if not abs(gain) > abs(prev.gain):
-                bounces, length = prev.bounces, prev.path_length_m
-            gain = prev.gain + gain
-        merged[key] = PropagationPath(gain, aod_az, aod_el, aoa_az, aoa_el,
-                                      bounces, length)   # keeps first position
-    return list(merged.values())
+    if grid.is_exact or not len(paths):
+        return paths
+    az = snap_azimuth(np.column_stack([paths.aod_az_deg, paths.aoa_az_deg]),
+                      grid.az_step_deg)
+    el = snap_elevation(np.column_stack([paths.aod_el_deg, paths.aoa_el_deg]),
+                        grid.el_step_deg)
+    # lattice points are exact binary fractions at least one step apart, so
+    # equal snapped floats are exactly the colliding paths
+    groups: dict = {}
+    for i, key in enumerate(map(tuple, np.column_stack([az, el]).tolist())):
+        groups.setdefault(key, []).append(i)
+    keep = [members[0] for members in groups.values()]
+    gain, bounces, length = (paths.gain[keep], paths.bounces[keep],
+                             paths.length_m[keep])
+    for j, members in enumerate(groups.values()):
+        acc = paths.gain[members[0]].item()
+        for i in members[1:]:
+            g = paths.gain[i].item()
+            if abs(g) > abs(acc):
+                bounces[j], length[j] = paths.bounces[i], paths.length_m[i]
+            acc = acc + g
+        gain[j] = acc
+    return Paths(gain=gain, aod_az_deg=az[keep, 0], aod_el_deg=el[keep, 0],
+                 aoa_az_deg=az[keep, 1], aoa_el_deg=el[keep, 1],
+                 bounces=bounces, length_m=length)

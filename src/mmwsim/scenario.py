@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -130,6 +131,35 @@ class NetworkConfig:
         return self
 
 
+def direction_deg(src: np.ndarray, dst: np.ndarray) -> tuple[float, float]:
+    """(azimuth, elevation) of the ray leaving ``src`` towards ``dst``."""
+    return _azel(np.asarray(dst, dtype=float) - np.asarray(src, dtype=float))
+
+
+def _azel(d: np.ndarray) -> tuple[float, float]:
+    """(azimuth, elevation) of the direction vector ``d``."""
+    az = math.degrees(math.atan2(d[1], d[0]))
+    el = math.degrees(math.atan2(d[2], math.hypot(d[0], d[1])))
+    if az >= 180.0:
+        az -= 360.0
+    return az, el
+
+
+def _node_legs(origin: np.ndarray, scatterers: np.ndarray) -> list:
+    """(length, azimuth, elevation) of one node's leg to each scatterer."""
+    # each length is its own dot product, as np.linalg.norm takes it: a
+    # row-wise array reduction sums in another order and moves the last bit
+    return [(math.sqrt(d.dot(d)), *_azel(d)) for d in scatterers - origin]
+
+
+def scatterer_legs(nodes: np.ndarray, scatterers: np.ndarray) -> np.ndarray:
+    """(length, azimuth, elevation) of each node's straight leg to each
+    scatterer, the direction taken from the node; (3, n_nodes, n_scat)."""
+    legs = [_node_legs(x, scatterers) for x in nodes]
+    return np.array(legs, dtype=float).reshape(
+        len(nodes), len(scatterers), 3).transpose(2, 0, 1)
+
+
 @dataclass(frozen=True)
 class Deployment:
     """One network realization: gNB grid, PPP UEs and the shared scatterer field."""
@@ -148,6 +178,16 @@ class Deployment:
     @property
     def n_ues(self) -> int:
         return len(self.ue_positions)
+
+    # every pair of a realization reflects off the same scatterers, so each
+    # node's legs are computed once, on first use
+    @cached_property
+    def gnb_legs(self) -> np.ndarray:
+        return scatterer_legs(self.gnb_positions, self.scatterer_positions)
+
+    @cached_property
+    def ue_legs(self) -> np.ndarray:
+        return scatterer_legs(self.ue_positions, self.scatterer_positions)
 
 
 def _grid_positions(cfg: NetworkConfig) -> np.ndarray:

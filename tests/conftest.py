@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmwsim.allocation import AllocationInputs
-from mmwsim.channel import PropagationPath
+from mmwsim.channel import Paths
 from mmwsim.runner import build_inputs
 from mmwsim.scenario import NetworkConfig
 
@@ -15,18 +15,24 @@ ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
 
 
 def path(gain, aod_az, aoa_az, aod_el=0.0, aoa_el=0.0, bounces=0,
-         length_m=60.0):
-    return PropagationPath(gain=gain, aod_az_deg=aod_az, aod_el_deg=aod_el,
-                           aoa_az_deg=aoa_az, aoa_el_deg=aoa_el,
-                           bounces=bounces, path_length_m=length_m)
+         length_m=60.0) -> tuple:
+    """One ray, as a row of ``Paths.from_rows``."""
+    return (gain, aod_az, aod_el, aoa_az, aoa_el, bounces, length_m)
+
+
+def full(channel) -> np.ndarray:
+    """The (4 n_r, 4 n_t) full-array matrix of a block channel."""
+    return channel.blocks.transpose(0, 2, 1, 3).reshape(4 * channel.n_r,
+                                                        4 * channel.n_t)
 
 
 def make_inputs(cfg: NetworkConfig, paths_by_pair: dict, n_gnbs: int,
                 n_ues: int) -> AllocationInputs:
-    """AllocationInputs from explicit (gnb, ue) -> path lists, every panel
-    of every node at ORIENT; quantized CSI when ``cfg.n_q_csi_bits`` is
-    finite, as in a campaign."""
-    return build_inputs(cfg, n_gnbs, n_ues, paths_by_pair, [ORIENT] * n_gnbs,
+    """AllocationInputs from explicit (gnb, ue) -> lists of ``path`` rows,
+    every panel of every node at ORIENT; quantized CSI when
+    ``cfg.n_q_csi_bits`` is finite, as in a campaign."""
+    paths = {key: Paths.from_rows(rows) for key, rows in paths_by_pair.items()}
+    return build_inputs(cfg, n_gnbs, n_ues, paths, [ORIENT] * n_gnbs,
                         [ORIENT] * n_ues)
 
 

@@ -1,17 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import full
 from mmwsim.beamsweep import (BeamPairLink, combined_rows, initial_association,
                               rsrp_table, sweep)
-from mmwsim.channel import PropagationPath, assemble_channel
-from mmwsim.codebook import default_full_codebook
-from mmwsim.scenario import NetworkConfig
+from mmwsim.channel import (MultiPanelChannel, Paths, assemble_channel,
+                            pair_rng, synthesize_paths)
+from mmwsim.codebook import default_full_codebook, estimation_grid
+from mmwsim.csi import quantize_paths
+from mmwsim.runner import desk_scale_config
+from mmwsim.scenario import NetworkConfig, generate_deployment, load_config
 
 ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _channel(cfg, paths):
-    return assemble_channel(paths, cfg, ORIENT, ORIENT)
+def _channel(cfg, rows):
+    return assemble_channel(Paths.from_rows(rows), cfg, ORIENT, ORIENT)
 
 
 def _sweep_inputs(cfg, channels):
@@ -34,9 +41,7 @@ def _sweep(cfg, channels, detection_floor_db=-10.0):
 
 
 def _path(gain, aod_az, aoa_az, bounces=0):
-    return PropagationPath(gain=gain, aod_az_deg=aod_az, aod_el_deg=0.0,
-                           aoa_az_deg=aoa_az, aoa_el_deg=0.0,
-                           bounces=bounces, path_length_m=60.0)
+    return (gain, aod_az, 0.0, aoa_az, 0.0, bounces, 60.0)
 
 
 @pytest.fixture
@@ -49,11 +54,12 @@ def test_rsrp_table_matches_per_pair_loop(small_cfg):
     ch = _channel(cfg, [_path(1e-4, 11.0, -95.0), _path(5e-5, 40.0, 100.0, 1)])
     gbook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
     ubook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
-    table = rsrp_table(combined_rows(ch, ubook), gbook, p_ssb=1.0)
-    full = ch.full()
+    table = rsrp_table(combined_rows(ch, ubook), ch.block_dominant_bounces,
+                       gbook, ubook, p_ssb=1.0)
+    h = full(ch)
     for ub in range(ubook.n_beams):
         for gb in range(gbook.n_beams):
-            val = abs(ubook.matrix[:, ub].conj() @ full @ gbook.matrix[:, gb]) ** 2
+            val = abs(ubook.matrix[:, ub].conj() @ h @ gbook.matrix[:, gb]) ** 2
             assert table[ub, gb] == pytest.approx(val, rel=1e-10, abs=1e-30)
 
 
@@ -124,7 +130,7 @@ def _brute_force_sweep(cfg, channels, detection_floor_db=-10.0):
     for g, dominant in bounces.items():
         if dominant is None:
             continue
-        table = rsrp_table(rows[g], gbook, cfg.p_max_w)
+        table = rsrp_table(rows[g], dominant, gbook, ubook, cfg.p_max_w)
         for ub in range(ubook.n_beams):
             for gb in range(gbook.n_beams):
                 if table[ub, gb] >= floor:
@@ -158,3 +164,71 @@ def test_sweep_matches_brute_force_sort_with_ties(small_cfg):
                for a, b in zip(expected, expected[1:]))
     with pytest.raises(IndexError):
         found[len(found)]
+
+
+# per-panel products against the full-matrix ones they replaced --------------
+
+def _full_matrix_rows(channel, ue_book):
+    """R = W_ue^H H as one product with the full-array matrix."""
+    return ue_book.matrix.conj().T @ full(channel)
+
+
+def _full_matrix_rsrp(rows, gnb_book, p_ssb):
+    coupling = rows @ gnb_book.matrix
+    return p_ssb * (coupling.real ** 2 + coupling.imag ** 2)
+
+
+def _assert_per_panel_products_equal(cfg, channels):
+    gbook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
+    ubook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
+    n_blocks = 0
+    for ch in channels:
+        rows = combined_rows(ch, ubook)
+        expected = _full_matrix_rows(ch, ubook)
+        assert np.array_equal(rows, expected)
+        table = rsrp_table(rows, ch.block_dominant_bounces, gbook, ubook,
+                           cfg.p_max_w)
+        assert np.array_equal(
+            table, _full_matrix_rsrp(expected, gbook, cfg.p_max_w))
+        n_blocks += int((ch.block_dominant_bounces >= 0).sum())
+    assert n_blocks > 0
+
+
+def _realization_channels(cfg, n_q_csi_bits):
+    """Every pair's channel of realization 0, from its true paths and, with
+    a finite ``n_q_csi_bits``, from its quantized ones."""
+    dep = generate_deployment(cfg, 0)
+    grid = estimation_grid(n_q_csi_bits)
+    for g in range(dep.n_gnbs):
+        for u in range(dep.n_ues):
+            paths = synthesize_paths(dep, g, u, pair_rng(cfg, 0, g, u), cfg)
+            if len(paths):
+                yield assemble_channel(quantize_paths(paths, grid), cfg,
+                                       dep.gnb_panel_orientations[g],
+                                       dep.ue_panel_orientations[u])
+
+
+@pytest.mark.parametrize("profile,n_q", [("desk", float("inf")), ("desk", 6),
+                                         ("tiny", float("inf"))])
+def test_per_panel_products_equal_full_matrix_products(profile, n_q):
+    # every pair of one realization: the block-by-block R and RSRP equal the
+    # full-matrix products bit for bit
+    cfg = (desk_scale_config(n_realizations=1) if profile == "desk" else
+           load_config(str(ROOT / "configs" / "tiny.yaml")))
+    _assert_per_panel_products_equal(cfg, _realization_channels(cfg, n_q))
+
+
+def test_per_panel_products_on_hand_built_empty_blocks(small_cfg):
+    # random blocks where the dominant table marks them used, zeros where
+    # it marks them empty (a whole UE panel and a whole gNB panel included)
+    cfg = small_cfg
+    rng = np.random.default_rng(3)
+    dominant = np.array([[0, -1, 1, -1], [-1, -1, -1, -1],
+                         [1, 0, -1, -1], [0, 1, 1, -1]])
+    blocks = (rng.standard_normal((4, 4, cfg.n_r, cfg.n_t))
+              + 1j * rng.standard_normal((4, 4, cfg.n_r, cfg.n_t)))
+    blocks[dominant < 0] = 0.0
+    ch = MultiPanelChannel(blocks=blocks, block_dominant_bounces=dominant)
+    _assert_per_panel_products_equal(cfg, [ch])
+    rows = combined_rows(ch, default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r))
+    assert not rows[4:8].any() and not rows[:, 3 * cfg.n_t:].any()

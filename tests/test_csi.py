@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from mmwsim.channel import PropagationPath, assemble_channel, wrap_angle_deg
+from conftest import full
+from mmwsim.channel import (Paths, assemble_channel, pair_rng,
+                            synthesize_paths, wrap_angle_deg)
 from mmwsim.codebook import estimation_grid
 from mmwsim.csi import quantize_paths, snap_azimuth, snap_elevation
-from mmwsim.scenario import NetworkConfig
+from mmwsim.runner import desk_scale_config
+from mmwsim.scenario import NetworkConfig, generate_deployment
 
 ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
 
 
 def _path(aod_az, aoa_az, gain=1e-4 + 0j, aod_el=0.0, aoa_el=0.0, bounces=0):
-    return PropagationPath(gain=gain, aod_az_deg=aod_az, aod_el_deg=aod_el,
-                           aoa_az_deg=aoa_az, aoa_el_deg=aoa_el,
-                           bounces=bounces, path_length_m=50.0)
+    return (gain, aod_az, aod_el, aoa_az, aoa_el, bounces, 50.0)
+
+
+def _paths(*rows):
+    return Paths.from_rows(rows)
 
 
 def test_snap_azimuth_lattice_centres():
@@ -55,7 +60,7 @@ def test_snap_error_bounded_by_half_step():
 
 
 def test_quantize_exact_grid_is_identity():
-    paths = [_path(10.0, -120.0), _path(33.0, 140.0, bounces=1)]
+    paths = _paths(_path(10.0, -120.0), _path(33.0, 140.0, bounces=1))
     grid = estimation_grid(math.inf)
     assert quantize_paths(paths, grid) == paths
 
@@ -65,22 +70,22 @@ def test_quantize_merges_colliding_paths_coherently():
     # both paths fall in the same angular cell on every axis
     p1 = _path(1.0, 100.0, gain=1e-4 + 0j)
     p2 = _path(2.0, 101.0, gain=-0.4e-4 + 0j, bounces=1)
-    out = quantize_paths([p1, p2], grid)
+    out = quantize_paths(_paths(p1, p2), grid)
     assert len(out) == 1
-    assert out[0].gain == pytest.approx(0.6e-4)
+    assert out.gain[0] == pytest.approx(0.6e-4)
     # the stronger contributor defines bounce count and length
-    assert out[0].bounces == 0
+    assert out.bounces[0] == 0
 
 
 def test_quantize_preserves_distinct_paths():
     grid = estimation_grid(4)
-    out = quantize_paths([_path(1.0, 100.0), _path(40.0, -100.0)], grid)
+    out = quantize_paths(_paths(_path(1.0, 100.0), _path(40.0, -100.0)), grid)
     assert len(out) == 2
 
 
 def test_exact_csi_reconstruction_bit_identical():
     cfg = NetworkConfig(area_side_m=250.0, n_t=16, n_r=4)
-    paths = [_path(10.0, -120.0), _path(-33.0, 140.0, bounces=1)]
+    paths = _paths(_path(10.0, -120.0), _path(-33.0, 140.0, bounces=1))
     true = assemble_channel(paths, cfg, ORIENT, ORIENT)
     est = assemble_channel(quantize_paths(paths, estimation_grid(math.inf)),
                            cfg, ORIENT, ORIENT)
@@ -89,21 +94,21 @@ def test_exact_csi_reconstruction_bit_identical():
 
 def test_quantized_reconstruction_differs_but_close():
     cfg = NetworkConfig(area_side_m=250.0, n_t=16, n_r=4)
-    paths = [_path(10.3, -120.7)]
+    paths = _paths(_path(10.3, -120.7))
     true = assemble_channel(paths, cfg, ORIENT, ORIENT)
     est = assemble_channel(quantize_paths(paths, estimation_grid(6)),
                            cfg, ORIENT, ORIENT)
     assert not np.array_equal(true.blocks, est.blocks)
-    num = np.linalg.norm(true.full() - est.full())
-    assert num / np.linalg.norm(true.full()) < 0.5
+    num = np.linalg.norm(full(true) - full(est))
+    assert num / np.linalg.norm(full(true)) < 0.5
 
 
 def test_rank_collapse_under_coarse_quantization():
     # two resolvable paths merge into one lattice point at n_q = 4,
     # collapsing the reconstructed block to rank 1
     cfg = NetworkConfig(area_side_m=250.0, n_t=64, n_r=16)
-    paths = [_path(9.0, -120.0, gain=1e-4 + 0j),
-             _path(10.5, -119.0, gain=1e-4 + 0j, bounces=1)]
+    paths = _paths(_path(9.0, -120.0, gain=1e-4 + 0j),
+                   _path(10.5, -119.0, gain=1e-4 + 0j, bounces=1))
     grid = estimation_grid(4)
     q = quantize_paths(paths, grid)
     assert len(q) == 1
@@ -113,6 +118,45 @@ def test_rank_collapse_under_coarse_quantization():
     s_est = np.linalg.svd(est.blocks[3, 0], compute_uv=False)
     assert s_true[1] > 1e-8 * s_true[0]
     assert s_est[1] <= 1e-10 * s_est[0]
+
+
+def _quantize_per_path(paths, grid):
+    """Quantization one path at a time: snap its angles, key them rounded to
+    9 decimals, and merge a repeated key into the first path of that key."""
+    merged = {}
+    for i in range(len(paths)):
+        aod_az, aoa_az = (snap_azimuth(float(a), grid.az_step_deg) for a in (
+            paths.aod_az_deg[i], paths.aoa_az_deg[i]))
+        aod_el, aoa_el = (snap_elevation(float(e), grid.el_step_deg) for e in (
+            paths.aod_el_deg[i], paths.aoa_el_deg[i]))
+        key = (round(aod_az, 9), round(aod_el, 9),
+               round(aoa_az, 9), round(aoa_el, 9))
+        gain = complex(paths.gain[i])
+        bounces, length = int(paths.bounces[i]), float(paths.length_m[i])
+        prev = merged.get(key)
+        if prev is not None:
+            if not abs(gain) > abs(prev[0]):
+                bounces, length = prev[5], prev[6]
+            gain = prev[0] + gain
+        merged[key] = (gain, aod_az, aod_el, aoa_az, aoa_el, bounces, length)
+    return Paths.from_rows(list(merged.values()))
+
+
+@pytest.mark.parametrize("n_q", [4, 6])
+def test_quantize_matches_per_path_merge(n_q):
+    # every gNB-UE pair of a desk realization: the array merge keeps the
+    # per-path merge's order, sums, bounce counts and lengths bit for bit
+    cfg = desk_scale_config(n_realizations=1)
+    dep = generate_deployment(cfg, 0)
+    grid = estimation_grid(n_q)
+    merges = 0
+    for g in range(dep.n_gnbs):
+        for u in range(dep.n_ues):
+            paths = synthesize_paths(dep, g, u, pair_rng(cfg, 0, g, u), cfg)
+            got = quantize_paths(paths, grid)
+            assert got == _quantize_per_path(paths, grid)
+            merges += len(paths) - len(got)
+    assert merges > 0
 
 
 def _snap_azimuth_scalar(az_deg, step):

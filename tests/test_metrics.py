@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ORIENT, make_inputs, path
+from conftest import ORIENT, full, make_inputs, path
 from mmwsim.allocation import AllocMode, allocate
 from mmwsim.beamsweep import BeamPairLink
-from mmwsim.channel import assemble_channel
+from mmwsim.channel import Paths, assemble_channel
 from mmwsim.codebook import default_full_codebook
 from mmwsim.metrics import (column_powers, dropped_report, evaluate_allocation,
                             link_report, network_report, summarize,
@@ -22,7 +22,7 @@ def rss(combiner: np.ndarray, true_channel, state: GnbPrecoderState,
         ue: int) -> float:
     """Received signal strength P_i |w_c^H H w_p,i|^2 on the true channel."""
     i = state.served.index(ue)
-    row = combiner.conj() @ true_channel.full()
+    row = combiner.conj() @ full(true_channel)
     return float(state.p_per_ue * column_powers(row[None, :],
                                                 state.w_combined)[0, i])
 
@@ -31,7 +31,7 @@ def intra_interference(combiner: np.ndarray, true_channel,
                        state: GnbPrecoderState, ue: int) -> float:
     """Power leaked into this UE by co-scheduled columns (own column excluded)."""
     i = state.served.index(ue)
-    row = combiner.conj() @ true_channel.full()
+    row = combiner.conj() @ full(true_channel)
     powers = column_powers(row[None, :], state.w_combined)[0]
     return float(state.p_per_ue * (np.sum(powers) - powers[i]))
 
@@ -46,7 +46,7 @@ def inter_interference(combiner: np.ndarray, true_channels: dict,
         ch = true_channels.get(g)
         if ch is None:
             continue
-        row = combiner.conj() @ ch.full()
+        row = combiner.conj() @ full(ch)
         total += state.p_per_ue * float(np.sum(
             column_powers(row[None, :], state.w_combined)))
     return total
@@ -96,13 +96,17 @@ def _victim_combiner(cfg, alloc):
     return book.matrix[:, alloc.serving[0].ue_beam]
 
 
+def _assemble(cfg, rows):
+    return assemble_channel(Paths.from_rows(rows), cfg, ORIENT, ORIENT)
+
+
 def test_reference_ops_against_hand_computation():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
     assert 0 in alloc.serving and 1 in alloc.serving
     state0 = alloc.states[0]
     state1 = alloc.states[1]
-    ch_01 = assemble_channel(pairs[(0, 0)], cfg, ORIENT, ORIENT)
-    ch_11 = assemble_channel(pairs[(1, 0)], cfg, ORIENT, ORIENT)
+    ch_01 = _assemble(cfg, pairs[(0, 0)])
+    ch_11 = _assemble(cfg, pairs[(1, 0)])
     w_c = _victim_combiner(cfg, alloc)
 
     got_rss = rss(w_c, ch_11, state1, ue=0)
@@ -110,9 +114,9 @@ def test_reference_ops_against_hand_computation():
                                    {0: state0, 1: state1}, serving_gnb=1)
     # hand evaluation: P_u |w_c^H H w|^2 per column
     expected_rss = state1.p_per_ue * abs(
-        w_c.conj() @ ch_11.full() @ state1.w_combined[:, 0]) ** 2
+        w_c.conj() @ full(ch_11) @ state1.w_combined[:, 0]) ** 2
     expected_inter = sum(
-        state0.p_per_ue * abs(w_c.conj() @ ch_01.full() @
+        state0.p_per_ue * abs(w_c.conj() @ full(ch_01) @
                               state0.w_combined[:, k]) ** 2
         for k in range(state0.w_combined.shape[1]))
     assert got_rss == pytest.approx(expected_rss, rel=1e-12)
@@ -122,7 +126,7 @@ def test_reference_ops_against_hand_computation():
 
 def test_intra_interference_single_ue_is_zero():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
-    ch_11 = assemble_channel(pairs[(1, 0)], cfg, ORIENT, ORIENT)
+    ch_11 = _assemble(cfg, pairs[(1, 0)])
     w_c = _victim_combiner(cfg, alloc)
     assert intra_interference(w_c, ch_11, alloc.states[1], ue=0) == 0.0
 
@@ -131,8 +135,8 @@ def test_evaluate_allocation_matches_reference_ops():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
     powers = evaluate_allocation(alloc.serving, alloc.states,
                                  inputs.true_rows)
-    ch_01 = assemble_channel(pairs[(0, 0)], cfg, ORIENT, ORIENT)
-    ch_11 = assemble_channel(pairs[(1, 0)], cfg, ORIENT, ORIENT)
+    ch_01 = _assemble(cfg, pairs[(0, 0)])
+    ch_11 = _assemble(cfg, pairs[(1, 0)])
     w_c = _victim_combiner(cfg, alloc)
     s, ia, ie = powers[0]
     assert s == pytest.approx(rss(w_c, ch_11, alloc.states[1], 0), rel=1e-12)

@@ -190,11 +190,14 @@ def test_trace_file_round_trip(tmp_path):
         fh.write("gnb_id,ue_id,gain_re,gain_im,aod_az,aod_el,"
                  "aoa_az,aoa_el,bounces,length_m\n")
         for (g, u), plist in paths.items():
-            for p in plist:
-                fh.write(f"{g},{u},{p.gain.real!r},{p.gain.imag!r},"
-                         f"{p.aod_az_deg!r},{p.aod_el_deg!r},"
-                         f"{p.aoa_az_deg!r},{p.aoa_el_deg!r},"
-                         f"{p.bounces},{p.path_length_m!r}\n")
+            for gain, aod_az, aod_el, aoa_az, aoa_el, bounces, length in zip(
+                    plist.gain.tolist(), plist.aod_az_deg.tolist(),
+                    plist.aod_el_deg.tolist(), plist.aoa_az_deg.tolist(),
+                    plist.aoa_el_deg.tolist(), plist.bounces.tolist(),
+                    plist.length_m.tolist()):
+                fh.write(f"{g},{u},{gain.real!r},{gain.imag!r},"
+                         f"{aod_az!r},{aod_el!r},{aoa_az!r},{aoa_el!r},"
+                         f"{bounces},{length!r}\n")
     cfg2 = _small_cfg(n_realizations=1, trace_file=str(trace))
     ctx2 = prepare_realization(cfg2, 0)
     assert ctx.inputs.sweeps == ctx2.inputs.sweeps
