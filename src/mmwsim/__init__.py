@@ -2,13 +2,12 @@
 
 from .allocation import (Allocation, AllocationInputs, AllocMode,
                          allocate, build_candidates)
-from .beamsweep import BeamPairLink, initial_association, sweep
+from .beamsweep import BeamPairLink, sweep
 from .channel import (MultiPanelChannel, Paths, assemble_channel,
                       ingest_paths, synthesize_paths, ula_steering,
                       ura_steering)
-from .codebook import (EstimationGrid, FullCodebook, SectorCodebook,
-                       build_sector_codebook, default_full_codebook,
-                       estimation_grid, full_codebook, resolution)
+from .codebook import (EstimationGrid, FullCodebook, default_full_codebook,
+                       estimation_grid, resolution)
 from .csi import quantize_paths
 from .errors import (CapacityError, ConfigurationError,
                      DimensionMismatchError, GuardRailError,

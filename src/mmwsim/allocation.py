@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .beamsweep import BeamPairLink, Sweep, initial_association
+from .beamsweep import BeamPairLink, Sweep
 from .codebook import FullCodebook
 from .errors import CapacityError, GuardRailError, RankDeficiencyError
 from .metrics import column_powers
@@ -59,6 +59,7 @@ class AllocationInputs:
     n_gnbs: int
     n_ues: int
     sweeps: dict                     # ue -> beamsweep.Sweep
+    monitored: dict                  # ue -> (dIABA, cIABA) candidate_ranks
     true_rows: dict                  # (ue, gnb) -> metrics.BeamRows of
                                      # R = W_ue^H H at the UE's read_beams
     est_rows: dict                   # same, against the estimated channels;
@@ -66,52 +67,48 @@ class AllocationInputs:
     gnb_book: FullCodebook
 
 
-def candidate_ranks(sweep_result: Sweep, mode: AllocMode, initial_gnb: int,
-                    n_csi_rs) -> np.ndarray:
-    """Sweep ranks (0-based) of a UE's monitored BPLs per allocation mode.
+def candidate_ranks(sweep_result: Sweep, n_csi_rs) -> tuple:
+    """Sweep ranks (0-based) of the BPLs a UE monitors: on its initial gNB,
+    the one of its strongest BPL (dIABA), and network-wide (cIABA); at most
+    ``n_csi_rs`` of each.
 
-    5G-NR monitors only the strongest BPL; dIABA the top candidates on the
-    initial serving gNB; cIABA the top candidates network-wide.
+    One monitored BPL per transmit beam: a CSI-RS resource tracks a gNB
+    beam, and the UE receives it with its best RX beam; weaker RX beams of
+    an already-listed TX beam are duplicates, not alternatives.
     """
-    ranks = np.arange(len(sweep_result))
-    if mode in (AllocMode.FIVEG_NR, AllocMode.DBF_5GNR, AllocMode.CBF_TDMA):
-        return ranks[:1]
+    gnb, gnb_beam = sweep_result.gnb, sweep_result.gnb_beam
+    key = gnb * (int(gnb_beam.max(initial=0)) + 1) + gnb_beam
+    ranks = np.sort(np.unique(key, return_index=True)[1])
+    local = ranks[gnb[ranks] == gnb[0]] if len(ranks) else ranks
+    limit = int(n_csi_rs) if math.isfinite(n_csi_rs) else None
+    return local[:limit], ranks[:limit]
+
+
+def build_candidates(inputs: AllocationInputs, ue: int,
+                     mode: AllocMode) -> CandidateSet:
+    """Monitored-BPL set per allocation mode: 5G-NR, DBF and CBF-TDMA
+    monitor only the strongest BPL, dIABA its UE's candidates on the
+    initial gNB, cIABA and the oracle those network-wide."""
+    local, network = inputs.monitored[ue]
     if mode is AllocMode.DIABA:
-        ranks = ranks[sweep_result.gnb == initial_gnb]
-    # one monitored BPL per transmit beam: a CSI-RS resource tracks a gNB
-    # beam, and the UE receives it with its best RX beam; weaker RX beams of
-    # an already-listed TX beam are duplicates, not alternatives
-    if len(ranks):
-        gnb_beam = sweep_result.gnb_beam[ranks]
-        key = sweep_result.gnb[ranks] * (int(gnb_beam.max()) + 1) + gnb_beam
-        _, first = np.unique(key, return_index=True)
-        ranks = ranks[np.sort(first)]
-    if math.isfinite(n_csi_rs):
-        ranks = ranks[:int(n_csi_rs)]
-    return ranks
-
-
-def build_candidates(ue: int, sweep_result: Sweep, mode: AllocMode,
-                     initial_gnb: int, n_csi_rs) -> CandidateSet:
-    """Monitored-BPL set per allocation mode, at ``candidate_ranks``."""
-    ranks = candidate_ranks(sweep_result, mode, initial_gnb, n_csi_rs)
+        ranks = local
+    elif mode in (AllocMode.CIABA, AllocMode.ORACLE):
+        ranks = network
+    else:
+        ranks = network[:1]
+    sweep_result = inputs.sweeps[ue]
     return CandidateSet(ue=ue, bpls=[sweep_result[i] for i in ranks.tolist()])
 
 
-def read_beams(sweep_result: Sweep, n_csi_rs) -> np.ndarray:
+def read_beams(sweep_result: Sweep, monitored: tuple) -> np.ndarray:
     """Sorted UE beams any allocator may read for this UE: those of its
-    dIABA and cIABA candidates (5G-NR, DBF and CBF-TDMA read rank 0, the
-    oracle cIABA's candidates).
+    monitored BPLs, the ``candidate_ranks`` pair.
 
     Padded with beams 0 and 1 to at least two: in a product over two or
     more rows each row has the bits it has in a product over all UE beams,
     while a single row goes through gemv, whose last bit can differ.
     """
-    initial = int(sweep_result.gnb[0]) if len(sweep_result) else -1
-    ranks = np.concatenate([
-        candidate_ranks(sweep_result, mode, initial, n_csi_rs)
-        for mode in (AllocMode.DIABA, AllocMode.CIABA)])
-    beams = np.unique(sweep_result.ue_beam[ranks])
+    beams = np.unique(sweep_result.ue_beam[np.concatenate(monitored)])
     return beams if len(beams) >= 2 else np.union1d(beams, [0, 1])
 
 
@@ -419,8 +416,7 @@ def allocate_5gnr(inputs: AllocationInputs,
     engine = _Engine(inputs, use_dbf=use_dbf)
     initial = _initial_gnbs(inputs.sweeps)
     for ue in _ue_order(inputs.sweeps):
-        cands = build_candidates(ue, inputs.sweeps[ue], mode,
-                                 initial.get(ue, -1), inputs.cfg.n_csi_rs)
+        cands = build_candidates(inputs, ue, mode)
         if not engine.commit(cands.bpls[0]):
             continue
         # the new admission reshapes its gNB's precoder and radiates into
@@ -452,8 +448,7 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
     engine = _Engine(inputs, use_dbf=False)
     initial = _initial_gnbs(inputs.sweeps)
     for ue in _ue_order(inputs.sweeps):
-        cands = build_candidates(ue, inputs.sweeps[ue], mode,
-                                 initial.get(ue, -1), inputs.cfg.n_csi_rs)
+        cands = build_candidates(inputs, ue, mode)
         best_bpl = None
         best_sinr = -math.inf
         # Scanning in descending bound order lets the loop stop as soon as
@@ -489,7 +484,6 @@ def allocate_oracle(inputs: AllocationInputs) -> Allocation:
     assignment with the highest sum throughput (lexicographically first on
     ties).
     """
-    cfg = inputs.cfg
     if inputs.n_gnbs > ORACLE_MAX_GNBS:
         raise GuardRailError(f"oracle limited to {ORACLE_MAX_GNBS} gNBs")
     if inputs.n_ues > ORACLE_MAX_UES:
@@ -498,8 +492,7 @@ def allocate_oracle(inputs: AllocationInputs) -> Allocation:
     options: list[list] = []
     ue_ids = sorted(inputs.sweeps)
     for ue in ue_ids:
-        cands = build_candidates(ue, inputs.sweeps[ue], AllocMode.CIABA,
-                                 initial.get(ue, -1), cfg.n_csi_rs)
+        cands = build_candidates(inputs, ue, AllocMode.ORACLE)
         if len(cands.bpls) > ORACLE_MAX_CANDIDATES:
             raise GuardRailError(
                 f"oracle limited to {ORACLE_MAX_CANDIDATES} candidates per UE")
@@ -662,10 +655,9 @@ def allocate_cbf_tdma(inputs: AllocationInputs,
     initial = _initial_gnbs(inputs.sweeps)
     serving = {}
     per_gnb: dict[int, list[int]] = {g: [] for g in range(inputs.n_gnbs)}
-    for ue, cands in sorted(inputs.sweeps.items()):
-        best = initial_association(cands)
-        if best is not None:
-            serving[ue] = best
+    for ue, swept in sorted(inputs.sweeps.items()):
+        if len(swept):
+            serving[ue] = best = swept[0]
             per_gnb[best.gnb].append(ue)
 
     while True:

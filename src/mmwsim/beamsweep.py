@@ -1,9 +1,8 @@
-"""Exhaustive SSB beam sweep and the initial strongest-BPL association."""
+"""Exhaustive SSB beam sweep: each UE's beam pair links, strongest first."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +40,7 @@ def combined_rows(channel: MultiPanelChannel,
     rows = np.zeros((ue_book.n_beams, 4 * n_t), dtype=complex)
     for p, q in _used_blocks(channel.block_dominant_bounces):
         rows[p * pp:(p + 1) * pp, q * n_t:(q + 1) * n_t] = (
-            ue_book.sector_weights[p].conj().T @ channel.blocks[p, q])
+            ue_book.weights.conj().T @ channel.blocks[p, q])
     return rows
 
 
@@ -55,7 +54,7 @@ def rsrp_table(rows: np.ndarray, dominant: np.ndarray, gnb_book: FullCodebook,
     table = np.zeros((ue_book.n_beams, gnb_book.n_beams))
     for p, q in _used_blocks(dominant):
         coupling = (rows[p * pu:(p + 1) * pu, q * n_t:(q + 1) * n_t]
-                    @ gnb_book.sector_weights[q])
+                    @ gnb_book.weights)
         table[p * pu:(p + 1) * pu, q * pg:(q + 1) * pg] = p_ssb * (
             coupling.real ** 2 + coupling.imag ** 2)
     return table
@@ -102,33 +101,21 @@ def sweep(ue: int, bounces: dict, rows: dict, gnb_book: FullCodebook,
     """Exhaustive sweep over all gNBs and beam pairs for one UE.
 
     ``bounces`` maps gNB -> the pair's 4x4 dominant-bounce table
-    (``MultiPanelChannel.block_dominant_bounces``; None when the pair has no
-    paths) and ``rows`` maps gNB -> the pair's combined rows R.  Returns
-    every beam pair whose rsrp clears the detection floor (relative to
-    noise), sorted by descending rsrp with deterministic tie-breaking.
+    (``MultiPanelChannel.block_dominant_bounces``) and ``rows`` maps gNB ->
+    the pair's combined rows R.  Returns every beam pair whose rsrp clears
+    the detection floor (relative to noise), sorted by descending rsrp with
+    deterministic tie-breaking.
     """
     floor_w = noise_w * 10 ** (detection_floor_db / 10.0)
     parts = []
-    for gnb in sorted(bounces):
-        dominant = bounces[gnb]
-        if dominant is None:
-            continue
+    for gnb, dominant in sorted(bounces.items()):
         table = rsrp_table(rows[gnb], dominant, gnb_book, ue_book, p_ssb)
         ub, gb = np.nonzero(table >= floor_w)
         los = dominant[ue_book.panel[ub], gnb_book.panel[gb]] == 0
         parts.append((table[ub, gb], np.full(len(ub), gnb), gb, ub, los))
-    if not parts:
-        empty = np.empty(0, dtype=int)
-        return Sweep(ue=ue, rsrp=np.empty(0), gnb=empty, gnb_beam=empty,
-                     ue_beam=empty, is_los=np.empty(0, dtype=bool))
+    # every realization has a gNB (NetworkConfig.validate), so parts is not
+    # empty
     rsrp, gnb, gb, ub, los = (np.concatenate(c) for c in zip(*parts))
     order = np.lexsort((ub, gb, gnb, -rsrp))
     return Sweep(ue=ue, rsrp=rsrp[order], gnb=gnb[order], gnb_beam=gb[order],
                  ue_beam=ub[order], is_los=los[order])
-
-
-def initial_association(candidates) -> Optional[BeamPairLink]:
-    """Strongest swept BPL, or None when the UE is uncovered."""
-    if len(candidates) == 0:
-        return None
-    return candidates[0]  # sweep output is sorted by candidate_rank

@@ -32,35 +32,20 @@ def fspl_db(distance_m: float, carrier_hz: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance_m / lam)
 
 
-def ula_steering(n: int, d_over_lambda: float, phi_deg: float) -> np.ndarray:
-    """Unit-norm steering vector of an n-element uniform linear array."""
-    m = np.arange(n)
-    phase = 2.0 * np.pi * d_over_lambda * np.sin(np.deg2rad(phi_deg))
-    return np.exp(1j * m * phase) / np.sqrt(n)
-
-
-def ura_steering(n_h: int, n_v: int, d_over_lambda: float,
-                 phi_deg: float, theta_deg: float) -> np.ndarray:
-    """Planar-array steering vector: horizontal (x) vertical Kronecker product."""
-    a_h = ula_steering(n_h, d_over_lambda, phi_deg)
-    a_v = ula_steering(n_v, d_over_lambda, theta_deg)
-    return np.kron(a_h, a_v)
-
-
-def _ula_steering_many(n: int, d_over_lambda: float,
-                       phi_deg: np.ndarray) -> np.ndarray:
-    """Stacked ULA steering vectors, one column per angle; (n, k)."""
+def ula_steering(n: int, d_over_lambda: float, phi_deg) -> np.ndarray:
+    """Unit-norm uniform-linear-array steering vectors, one column per
+    angle; (n, k)."""
     m = np.arange(n)
     phase = 2.0 * np.pi * d_over_lambda * np.sin(np.deg2rad(phi_deg))
     return np.exp(1j * np.outer(m, phase)) / np.sqrt(n)
 
 
-def _ura_steering_many(n_h: int, n_v: int, d_over_lambda: float,
-                       phi_deg: np.ndarray,
-                       theta_deg: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product of ULA factors; (n_h * n_v, k)."""
-    a_h = _ula_steering_many(n_h, d_over_lambda, phi_deg)
-    a_v = _ula_steering_many(n_v, d_over_lambda, theta_deg)
+def ura_steering(n_h: int, n_v: int, d_over_lambda: float,
+                 phi_deg, theta_deg) -> np.ndarray:
+    """Planar-array steering vectors, the column-wise horizontal (x)
+    vertical Kronecker product of ULA factors; (n_h * n_v, k)."""
+    a_h = ula_steering(n_h, d_over_lambda, phi_deg)
+    a_v = ula_steering(n_v, d_over_lambda, theta_deg)
     return (a_h[:, None, :] * a_v[None, :, :]).reshape(n_h * n_v, -1)
 
 
@@ -305,8 +290,7 @@ def _steer(loc: np.ndarray, el: np.ndarray, ok: np.ndarray, n_elements: int):
     (valid where admitted)."""
     panel, path = np.nonzero(ok)
     n_h, n_v = panel_grid(n_elements)
-    return (_ura_steering_many(n_h, n_v, D_OVER_LAMBDA, loc[panel, path],
-                               el[path]),
+    return (ura_steering(n_h, n_v, D_OVER_LAMBDA, loc[panel, path], el[path]),
             np.cumsum(ok).reshape(ok.shape) - 1)
 
 

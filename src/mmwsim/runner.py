@@ -13,9 +13,10 @@ from typing import Optional
 import numpy as np
 
 from .allocation import (Allocation, AllocationInputs, AllocMode, allocate,
-                         allocate_cbf_tdma, read_beams)
+                         allocate_cbf_tdma, candidate_ranks, read_beams)
 from .beamsweep import combined_rows, sweep
-from .channel import assemble_channel, ingest_paths, pair_rng, synthesize_paths
+from .channel import (Paths, assemble_channel, ingest_paths, pair_rng,
+                      synthesize_paths)
 from .codebook import default_full_codebook, estimation_grid
 from .csi import quantize_paths
 from .metrics import BeamRows, network_report, summarize
@@ -72,7 +73,7 @@ class CampaignResult:
 
 
 def _pair_paths(cfg: NetworkConfig, dep: Deployment) -> dict:
-    """(gnb, ue) -> path list, from the trace file or the synthetic generator."""
+    """(gnb, ue) -> Paths, from the trace file or the synthetic generator."""
     if cfg.trace_file:
         return ingest_paths(cfg.trace_file, n_gnbs=dep.n_gnbs, n_ues=dep.n_ues)
     out = {}
@@ -106,23 +107,23 @@ class LazyRows(dict):
 
 def build_inputs(cfg: NetworkConfig, n_gnbs: int, n_ues: int, paths: dict,
                  gnb_orientations, ue_orientations) -> AllocationInputs:
-    """Codebooks, row matrices and beam sweeps from (gnb, ue) -> path lists.
+    """Codebooks, row matrices and beam sweeps from (gnb, ue) -> Paths.
 
     Each pair's channel is assembled, reduced to its rows R = W_ue^H H and
-    dominant-bounce table, and dropped.  A pair without paths gets an
-    all-zero R, so the sweep, the allocators and the reports read every
-    pair alike.  Once a UE is swept, each of its pairs keeps R only at the
-    UE's ``read_beams``, the receive beams of its candidate BPLs.  Under
-    quantized CSI a UE reports estimates only for the gNBs of the BPLs it
-    monitors: a pair's estimated rows are built from its quantized paths on
-    first read and kept at the same beams.  Each value depends on its
-    pair's paths alone, so the order of reads moves no bit.
+    dominant-bounce table, and dropped.  A pair missing from ``paths`` has
+    no paths; its blocks are zero, so its R is all-zero and it adds no
+    swept BPL.  Right after a UE's sweep its monitored BPLs are decided
+    (``candidate_ranks``), and each of its pairs keeps R only at the UE's
+    ``read_beams``, the receive beams of those BPLs.  Under quantized CSI a
+    UE reports estimates only for the gNBs of the BPLs it monitors: a
+    pair's estimated rows are built from its quantized paths on first read
+    and kept at the same beams.  Each value depends on its pair's paths
+    alone, so the order of reads moves no bit.
     """
     # codebooks do not depend on panel orientation: one book per node type
     gnb_book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
     ue_book = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
-    zero = np.zeros((ue_book.n_beams, 4 * cfg.n_t), dtype=complex)
-    zero.flags.writeable = False
+    no_paths = Paths.from_rows([])
 
     # assemble_channel and quantize_paths are looked up in this module at
     # call time, so the layer timers of perfbench/tracing.py see every call
@@ -130,44 +131,35 @@ def build_inputs(cfg: NetworkConfig, n_gnbs: int, n_ues: int, paths: dict,
         return assemble_channel(plist, cfg, gnb_orientations[g],
                                 ue_orientations[u])
 
-    true_rows, sweeps, beams_of = {}, {}, {}
+    true_rows, sweeps, monitored, beams_of = {}, {}, {}, {}
     for u in range(n_ues):
         bounces, rows = {}, {}
         for g in range(n_gnbs):
-            plist = paths.get((g, u))
-            if plist:
-                ch = channel(plist, g, u)
-                rows[g] = combined_rows(ch, ue_book)
-                bounces[g] = ch.block_dominant_bounces
-            else:
-                rows[g] = zero
-                bounces[g] = None
+            ch = channel(paths.get((g, u), no_paths), g, u)
+            rows[g] = combined_rows(ch, ue_book)
+            bounces[g] = ch.block_dominant_bounces
         sweeps[u] = sweep(u, bounces, rows, gnb_book, ue_book, cfg.p_max_w,
                           cfg.noise_w, cfg.detection_floor_db)
-        beams = beams_of[u] = read_beams(sweeps[u], cfg.n_csi_rs)
+        monitored[u] = candidate_ranks(sweeps[u], cfg.n_csi_rs)
+        beams = beams_of[u] = read_beams(sweeps[u], monitored[u])
         index = {b: i for i, b in enumerate(beams.tolist())}
         for g in range(n_gnbs):
-            # a pair without paths keeps a view of the shared zero R
-            kept_rows = (zero[:len(beams)] if rows[g] is zero
-                         else rows[g][beams])
-            true_rows[(u, g)] = BeamRows(kept_rows, index)
+            true_rows[(u, g)] = BeamRows(rows[g][beams], index)
 
     grid = estimation_grid(cfg.n_q_csi_bits)
     if grid.is_exact:
         est_rows = true_rows
     else:
         def estimate(u, g):
-            true = true_rows[(u, g)]
-            plist = paths.get((g, u))
-            if not plist:
-                return true
-            est = combined_rows(channel(quantize_paths(plist, grid), g, u),
-                                ue_book)
-            return BeamRows(est[beams_of[u]], true.index)
+            index = true_rows[(u, g)].index   # KeyError for an unknown pair
+            plist = quantize_paths(paths.get((g, u), no_paths), grid)
+            est = combined_rows(channel(plist, g, u), ue_book)
+            return BeamRows(est[beams_of[u]], index)
         est_rows = LazyRows(estimate)
     return AllocationInputs(cfg=cfg, n_gnbs=n_gnbs, n_ues=n_ues,
-                            sweeps=sweeps, true_rows=true_rows,
-                            est_rows=est_rows, gnb_book=gnb_book)
+                            sweeps=sweeps, monitored=monitored,
+                            true_rows=true_rows, est_rows=est_rows,
+                            gnb_book=gnb_book)
 
 
 def prepare_realization(cfg: NetworkConfig, realization: int) -> RealizationContext:

@@ -94,12 +94,22 @@ class NetworkConfig:
         return 299792458.0 / self.carrier_hz
 
     def validate(self) -> "NetworkConfig":
+        # NaN passes every range check below, and inf is a value only as
+        # the "unlimited" sentinel of _INF_FIELDS
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not (
+                    math.isfinite(value)
+                    or (value == INF and f.name in _INF_FIELDS)):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.n_sec != 4:
             raise ConfigurationError("n_sec is fixed to 4 sector panels")
         if self.area_side_m <= 0:
             raise ConfigurationError("area_side_m must be positive")
         if self.gnb_density <= 0:
             raise ConfigurationError("gnb_density must be positive")
+        if round(self.gnb_density * self.area_km2) < 1:
+            raise ConfigurationError("area_side_m and gnb_density place no gNB")
         if self.ue_density < 0:
             raise ConfigurationError("ue_density must be non-negative")
         for name in ("n_t", "n_r", "n_rf_gnb_sec", "n_rf_ue", "n_q_sweep_bits",
@@ -110,6 +120,8 @@ class NetworkConfig:
             raise ConfigurationError("carrier and bandwidth must be positive")
         if not self.sinr_min_db < self.sinr_max_db:
             raise ConfigurationError("sinr_min_db must be below sinr_max_db")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         if self.n_subpaths < 1:
             raise ConfigurationError("n_subpaths must be >= 1")
         if self.n_ue_hotspots < 0:
@@ -264,14 +276,17 @@ def _coerce(name: str, value, target_type):
             if value.lower() in ("false", "0", "no"):
                 return False
         raise ConfigurationError(f"cannot parse boolean for {name}: {value!r}")
-    if target_type is int:
+    # int or float; a value neither converts ends as a ConfigurationError
+    try:
+        if target_type is float:
+            return float(value)
         iv = int(value)
-        if iv != float(value):
-            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        return iv
-    if target_type is float:
-        return float(value)
-    return value
+        if iv == float(value):
+            return iv
+    except (TypeError, ValueError, OverflowError):
+        pass
+    kind = "a number" if target_type is float else "an integer"
+    raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
 
 
 def config_from_mapping(data: dict) -> NetworkConfig:

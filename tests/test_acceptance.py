@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mmwsim.allocation import (AllocMode, allocate, allocate_oracle,
-                               build_candidates, _initial_gnbs)
+                               build_candidates)
 from mmwsim.codebook import resolution
 from mmwsim.csi import snap_azimuth, snap_elevation
 from mmwsim.errors import CapacityError, RankDeficiencyError
@@ -117,7 +117,8 @@ def test_criterion_2_throughput_endpoints():
 # 3 -- estimation-grid resolution ------------------------------------------------
 
 def test_criterion_3_quantization_resolution():
-    t0 = time.perf_counter()
+    # CPU time of this process: host load does not count against the bound
+    t0 = time.process_time()
     ok = resolution(4) == (5.625, 5.625) and resolution(6) == (1.40625, 1.40625)
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -130,7 +131,7 @@ def test_criterion_3_quantization_resolution():
             da = min(da, 360.0 - da)
             de = abs(snap_elevation(e, step) - e)
             worst = max(worst, da / step, de / step)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     ok = ok and worst <= 0.5 + 1e-12 and elapsed < 1.0
     _report("criterion 3",
             ok, f"resolution(4) = {resolution(4)}, resolution(6) = "
@@ -142,12 +143,10 @@ def test_criterion_3_quantization_resolution():
 def _enumerate_best(inputs) -> float:
     """Independent brute-force search over monitored-candidate assignments."""
     cfg = inputs.cfg
-    initial = _initial_gnbs(inputs.sweeps)
     ue_ids = sorted(inputs.sweeps)
     options = []
     for ue in ue_ids:
-        cands = build_candidates(ue, inputs.sweeps[ue], AllocMode.CIABA,
-                                 initial.get(ue, -1), cfg.n_csi_rs)
+        cands = build_candidates(inputs, ue, AllocMode.CIABA)
         options.append(cands.bpls + [None])
     noise = cfg.noise_w
     thresh = 10 ** (cfg.sinr_min_db / 10.0)

@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mmwsim.allocation import (ORACLE_MAX_CANDIDATES, AllocMode, Allocation,
                                _initial_gnbs, allocate, allocate_5gnr,
                                allocate_cbf_tdma, allocate_iaba,
                                allocate_oracle, build_candidates,
-                               gnb_precoder_state)
+                               candidate_ranks, gnb_precoder_state)
 from mmwsim.beamsweep import BeamPairLink, Sweep
 from mmwsim.codebook import default_full_codebook
 from mmwsim.errors import CapacityError, GuardRailError, RankDeficiencyError
@@ -48,19 +49,28 @@ def _fake_candidates(n, gnb_of):
         for i in range(n)])
 
 
+def _inputs_of(sweep_result, n_csi_rs):
+    """The fields build_candidates reads, for one hand-made sweep."""
+    return SimpleNamespace(
+        sweeps={sweep_result.ue: sweep_result},
+        monitored={sweep_result.ue: candidate_ranks(sweep_result, n_csi_rs)})
+
+
 def test_build_candidates_modes():
     cands = _fake_candidates(6, lambda i: i % 2)
-    nr = build_candidates(0, cands, AllocMode.FIVEG_NR, 0, math.inf)
+    nr = build_candidates(_inputs_of(cands, math.inf), 0, AllocMode.FIVEG_NR)
     assert [b.candidate_rank for b in nr.bpls] == [1]
-    di = build_candidates(0, cands, AllocMode.DIABA, 0, 4)
+    di = build_candidates(_inputs_of(cands, 4), 0, AllocMode.DIABA)
     assert all(b.gnb == 0 for b in di.bpls)
     assert len(di.bpls) == 3        # three candidates exist on gNB 0
-    ci = build_candidates(0, cands, AllocMode.CIABA, 0, 4)
+    ci = build_candidates(_inputs_of(cands, 4), 0, AllocMode.CIABA)
     assert [b.candidate_rank for b in ci.bpls] == [1, 2, 3, 4]
-    ci_inf = build_candidates(0, cands, AllocMode.CIABA, 0, math.inf)
+    ci_inf = build_candidates(_inputs_of(cands, math.inf), 0,
+                              AllocMode.CIABA)
     assert len(ci_inf.bpls) == 6
     for mode in AllocMode:
-        empty = build_candidates(0, _as_sweep([]), mode, -1, math.inf)
+        empty = build_candidates(_inputs_of(_as_sweep([]), math.inf), 0,
+                                 mode)
         assert empty.bpls == []
 
 
@@ -93,28 +103,89 @@ def test_build_candidates_match_per_bpl_dedup_loop(tiny_cfg):
                              path(0.4e-5, aod + 80.0, 30.0 - 25.0 * u,
                                   bounces=1)]
     pairs[(2, 0)] = pairs[(0, 0)]
-    inputs = make_inputs(tiny_cfg, pairs, 3, 3)
-    tied = inputs.sweeps[0]
-    assert np.any((tied.rsrp[1:] == tied.rsrp[:-1]) &
-                  (tied.gnb[1:] != tied.gnb[:-1]))
-    initial = _initial_gnbs(inputs.sweeps)
     n_checked = 0
-    for ue, sw in inputs.sweeps.items():
-        bpls = list(sw)
-        assert bpls and initial[ue] == bpls[0].gnb
-        for mode in AllocMode:
-            for initial_gnb in (initial[ue], -1, 0, 1, 2):
-                for n_csi_rs in (1, 4, math.inf):
-                    got = build_candidates(ue, sw, mode, initial_gnb,
-                                           n_csi_rs).bpls
-                    assert got == _reference_candidates(
-                        ue, bpls, mode, initial_gnb, n_csi_rs)
-                    n_checked += len(got)
+    for n_csi_rs in (1, 4, math.inf):
+        inputs = make_inputs(replace(tiny_cfg, n_csi_rs=n_csi_rs), pairs,
+                             3, 3)
+        tied = inputs.sweeps[0]
+        assert np.any((tied.rsrp[1:] == tied.rsrp[:-1]) &
+                      (tied.gnb[1:] != tied.gnb[:-1]))
+        initial = _initial_gnbs(inputs.sweeps)
+        for ue, sw in inputs.sweeps.items():
+            bpls = list(sw)
+            assert bpls and initial[ue] == bpls[0].gnb
+            for mode in AllocMode:
+                got = build_candidates(inputs, ue, mode).bpls
+                assert got == _reference_candidates(
+                    ue, bpls, mode, initial[ue], n_csi_rs)
+                n_checked += len(got)
     assert n_checked > 0
     # the dedup removes RX-beam duplicates of a listed TX beam
-    ci = build_candidates(0, inputs.sweeps[0], AllocMode.CIABA, -1,
-                          math.inf).bpls
+    ci = build_candidates(inputs, 0, AllocMode.CIABA).bpls
     assert len(ci) < len(inputs.sweeps[0])
+
+
+def _old_candidate_ranks(sweep_result, mode, initial_gnb, n_csi_rs):
+    """Reference: the per-mode rule each allocator once applied to a UE's
+    sweep on every call."""
+    ranks = np.arange(len(sweep_result))
+    if mode in (AllocMode.FIVEG_NR, AllocMode.DBF_5GNR, AllocMode.CBF_TDMA):
+        return ranks[:1]
+    if mode is AllocMode.DIABA:
+        ranks = ranks[sweep_result.gnb == initial_gnb]
+    if len(ranks):
+        gnb_beam = sweep_result.gnb_beam[ranks]
+        key = sweep_result.gnb[ranks] * (int(gnb_beam.max()) + 1) + gnb_beam
+        _, first = np.unique(key, return_index=True)
+        ranks = ranks[np.sort(first)]
+    if math.isfinite(n_csi_rs):
+        ranks = ranks[:int(n_csi_rs)]
+    return ranks
+
+
+def _old_read_beams(sweep_result, n_csi_rs):
+    """Reference: the kept UE beams, from the dIABA and cIABA rules."""
+    initial = int(sweep_result.gnb[0]) if len(sweep_result) else -1
+    ranks = np.concatenate([
+        _old_candidate_ranks(sweep_result, mode, initial, n_csi_rs)
+        for mode in (AllocMode.DIABA, AllocMode.CIABA)])
+    beams = np.unique(sweep_result.ue_beam[ranks])
+    return beams if len(beams) >= 2 else np.union1d(beams, [0, 1])
+
+
+@pytest.mark.parametrize("n_csi_rs", [1, 4, math.inf])
+@pytest.mark.parametrize("profile", ["desk", "tiny"])
+def test_candidates_decided_once_match_per_mode_rule(profile, n_csi_rs):
+    # the monitored ranks decided after each UE's sweep give every mode the
+    # candidates, and every pair the kept beams, the per-mode rule gave
+    if profile == "desk":
+        cfg = desk_scale_config(n_realizations=1, n_csi_rs=n_csi_rs)
+    else:
+        cfg = replace(load_config(str(ROOT / "configs" / "tiny.yaml")),
+                      n_csi_rs=n_csi_rs)
+    n_ues = n_differ = realization = 0
+    while n_ues < 8:
+        inputs = prepare_realization(cfg, realization).inputs
+        realization += 1
+        for ue, sw in inputs.sweeps.items():
+            n_ues += 1
+            initial = int(sw.gnb[0]) if len(sw) else -1
+            local, network = inputs.monitored[ue]
+            assert np.array_equal(local, _old_candidate_ranks(
+                sw, AllocMode.DIABA, initial, n_csi_rs))
+            assert np.array_equal(network, _old_candidate_ranks(
+                sw, AllocMode.CIABA, initial, n_csi_rs))
+            n_differ += not np.array_equal(local, network)
+            for mode in AllocMode:
+                # the oracle searched cIABA's candidates
+                old_mode = AllocMode.CIABA if mode is AllocMode.ORACLE else mode
+                want = [sw[i] for i in _old_candidate_ranks(
+                    sw, old_mode, initial, n_csi_rs).tolist()]
+                assert build_candidates(inputs, ue, mode).bpls == want
+            beams = _old_read_beams(sw, n_csi_rs).tolist()
+            for g in range(inputs.n_gnbs):
+                assert list(inputs.true_rows[(ue, g)].index) == beams
+    assert n_differ > 0 or n_csi_rs == 1
 
 
 # -- 5G-NR baseline -----------------------------------------------------------
@@ -325,7 +396,7 @@ def _naive_oracle(inputs):
     return best_rate, best_serving
 
 
-def _small_random_inputs(tiny_cfg, seed, n_gnbs=2, n_ues=3):
+def _small_random_inputs(tiny_cfg, seed, n_gnbs=2, n_ues=3, n_csi_rs=3.0):
     rng = np.random.default_rng(seed)
     cfg = tiny_cfg
     pairs = {}
@@ -335,8 +406,7 @@ def _small_random_inputs(tiny_cfg, seed, n_gnbs=2, n_ues=3):
                 pairs[(g, u)] = [path(float(rng.uniform(0.2e-5, 1e-5)),
                                       float(rng.uniform(-180, 180)),
                                       float(rng.uniform(-180, 180)))]
-    from dataclasses import replace
-    cfg = replace(cfg, n_csi_rs=3.0)
+    cfg = replace(cfg, n_csi_rs=n_csi_rs)
     return make_inputs(cfg, pairs, n_gnbs, n_ues)
 
 
@@ -388,11 +458,9 @@ def test_oracle_guard_rails(tiny_cfg, monkeypatch):
     keys = _count_precoder_builds(monkeypatch)
     too_many_ues = _small_random_inputs(tiny_cfg, 0, n_gnbs=2, n_ues=7)
     too_many_gnbs = _small_random_inputs(tiny_cfg, 0, n_gnbs=4, n_ues=3)
-    base = _small_random_inputs(tiny_cfg, 0, n_gnbs=2, n_ues=3)
-    unlimited = replace(base, cfg=replace(base.cfg, n_csi_rs=math.inf))
-    initial = _initial_gnbs(unlimited.sweeps)
-    assert max(len(build_candidates(u, unlimited.sweeps[u], AllocMode.CIABA,
-                                    initial.get(u, -1), math.inf).bpls)
+    unlimited = _small_random_inputs(tiny_cfg, 0, n_gnbs=2, n_ues=3,
+                                     n_csi_rs=math.inf)
+    assert max(len(build_candidates(unlimited, u, AllocMode.CIABA).bpls)
                for u in unlimited.sweeps) > ORACLE_MAX_CANDIDATES
     for inputs in (too_many_ues, too_many_gnbs, unlimited):
         with pytest.raises(GuardRailError):
@@ -403,12 +471,9 @@ def test_oracle_guard_rails(tiny_cfg, monkeypatch):
 
 def _oracle_options(inputs):
     """Sorted UE ids and each UE's oracle options (candidates, then None)."""
-    initial = _initial_gnbs(inputs.sweeps)
     ue_ids = sorted(inputs.sweeps)
-    return ue_ids, [
-        build_candidates(u, inputs.sweeps[u], AllocMode.CIABA,
-                         initial.get(u, -1), inputs.cfg.n_csi_rs).bpls + [None]
-        for u in ue_ids]
+    return ue_ids, [build_candidates(inputs, u, AllocMode.CIABA).bpls + [None]
+                    for u in ue_ids]
 
 
 def _reference_oracle(inputs):
@@ -740,8 +805,7 @@ def _unpruned_iaba(inputs, mode):
     engine = _UnprunedEngine(inputs, use_dbf=False)
     initial = _initial_gnbs(inputs.sweeps)
     for ue in allocation._ue_order(inputs.sweeps):
-        cands = build_candidates(ue, inputs.sweeps[ue], mode,
-                                 initial.get(ue, -1), inputs.cfg.n_csi_rs)
+        cands = build_candidates(inputs, ue, mode)
         best_bpl = None
         best_sinr = -math.inf
         vecs = {g: engine.inter_vec(ue, g) for g in range(inputs.n_gnbs)
@@ -978,10 +1042,9 @@ def test_cbf_beats_hbf_without_interference(tiny_cfg):
 # -- a gNB-UE pair without paths ------------------------------------------------
 
 def test_pair_without_paths_runs_every_mode(tiny_cfg):
-    # UE 0 has no path to gNB 1: its rows toward gNB 1 are the shared zero
-    # matrix, read by every allocator as exactly zero interference; UE 2 has
-    # no path at all and is dropped
-    from dataclasses import replace
+    # UE 0 has no path to gNB 1: that pair's channel assembles to zero
+    # blocks, so its rows are all zero and every allocator reads them as
+    # exactly zero interference; UE 2 has no path at all and is dropped
     cfg = replace(tiny_cfg, n_csi_rs=3.0)
     pairs = {(0, 0): [_strong(10.0, -170.0)],
              (1, 0): [],

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import full
-from mmwsim.beamsweep import (BeamPairLink, combined_rows, initial_association,
-                              rsrp_table, sweep)
+from mmwsim.beamsweep import BeamPairLink, combined_rows, rsrp_table, sweep
 from mmwsim.channel import (MultiPanelChannel, Paths, assemble_channel,
                             pair_rng, synthesize_paths)
 from mmwsim.codebook import default_full_codebook, estimation_grid
@@ -22,19 +21,17 @@ def _channel(cfg, rows):
 
 
 def _sweep_inputs(cfg, channels):
-    """The sweep's inputs from gNB -> channel (or None): the shared codebooks,
-    gNB -> dominant-bounce table (or None) and gNB -> combined rows R."""
+    """The sweep's inputs from gNB -> channel: the shared codebooks,
+    gNB -> dominant-bounce table and gNB -> combined rows R."""
     gbook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_t)
     ubook = default_full_codebook(cfg.n_q_sweep_bits, cfg.n_r)
-    bounces = {g: None if ch is None else ch.block_dominant_bounces
-               for g, ch in channels.items()}
-    rows = {g: combined_rows(ch, ubook) for g, ch in channels.items()
-            if ch is not None}
+    bounces = {g: ch.block_dominant_bounces for g, ch in channels.items()}
+    rows = {g: combined_rows(ch, ubook) for g, ch in channels.items()}
     return gbook, ubook, bounces, rows
 
 
 def _sweep(cfg, channels, detection_floor_db=-10.0):
-    """Sweep UE 0 over gNB -> channel (or None)."""
+    """Sweep UE 0 over gNB -> channel."""
     gbook, ubook, bounces, rows = _sweep_inputs(cfg, channels)
     return sweep(0, bounces, rows, gbook, ubook, cfg.p_max_w, cfg.noise_w,
                  detection_floor_db)
@@ -106,18 +103,10 @@ def test_sweep_los_flag(small_cfg):
 
 
 def test_sweep_skips_missing_channels(small_cfg):
+    # a pair without paths assembles to zero blocks and adds no BPL
     cfg = small_cfg
-    found = _sweep(cfg, {0: None})
+    found = _sweep(cfg, {0: _channel(cfg, [])})
     assert len(found) == 0
-
-
-def test_initial_association(small_cfg):
-    cfg = small_cfg
-    ch = _channel(cfg, [_path(1e-4, 0.0, 180.0)])
-    found = _sweep(cfg, {0: ch})
-    best = initial_association(found)
-    assert best == found[0] and best.candidate_rank == 1
-    assert initial_association([]) is None
 
 
 def _brute_force_sweep(cfg, channels, detection_floor_db=-10.0):
@@ -128,8 +117,6 @@ def _brute_force_sweep(cfg, channels, detection_floor_db=-10.0):
     floor = cfg.noise_w * 10 ** (detection_floor_db / 10.0)
     entries = []
     for g, dominant in bounces.items():
-        if dominant is None:
-            continue
         table = rsrp_table(rows[g], dominant, gbook, ubook, cfg.p_max_w)
         for ub in range(ubook.n_beams):
             for gb in range(gbook.n_beams):
@@ -150,7 +137,7 @@ def test_sweep_matches_brute_force_sort_with_ties(small_cfg):
     tied = _channel(cfg, [_path(1e-4, 0.0, 180.0), _path(3e-5, 95.0, -60.0, 1)])
     other = _channel(cfg, [_path(8e-5, 30.0, 150.0),
                            _path(6e-5, -100.0, 10.0, 1)])
-    channels = {0: tied, 1: other, 2: tied, 3: None}
+    channels = {0: tied, 1: other, 2: tied, 3: _channel(cfg, [])}
     found = _sweep(cfg, channels)
     expected = _brute_force_sweep(cfg, channels)
     assert len(found) == len(expected) > 0

@@ -8,8 +8,7 @@ import pytest
 from conftest import full
 from mmwsim import runner, scenario
 from mmwsim.channel import (D_OVER_LAMBDA, PANEL_HALF_WIDTH_DEG, Paths,
-                            _expand_clusters, _ura_steering_many,
-                            assemble_channel, direction_deg, fspl_db,
+                            _expand_clusters, assemble_channel, direction_deg, fspl_db,
                             ingest_paths, pair_rng, panel_grid,
                             synthesize_paths, ula_steering, ura_steering,
                             wrap_angle_deg)
@@ -25,7 +24,7 @@ ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
 def test_ula_steering_against_scalar_loop():
     # independent elementwise evaluation of the array response
     n, d, phi = 7, 0.5, 23.4
-    vec = ula_steering(n, d, phi)
+    vec = ula_steering(n, d, phi)[:, 0]
     for m in range(n):
         expected = cmath.exp(1j * m * 2 * math.pi * d *
                              math.sin(math.radians(phi))) / math.sqrt(n)
@@ -35,15 +34,15 @@ def test_ula_steering_against_scalar_loop():
 
 def test_ula_steering_frozen_quadrature():
     # n=4, phi=30 deg: element phases step by pi/2
-    vec = ula_steering(4, 0.5, 30.0)
+    vec = ula_steering(4, 0.5, 30.0)[:, 0]
     expected = np.array([0.5, 0.5j, -0.5, -0.5j])
     assert np.allclose(vec, expected, atol=1e-12)
 
 
 def test_ura_is_kronecker_of_linear_factors():
-    a = ura_steering(4, 2, 0.5, 17.0, -9.0)
-    ah = ula_steering(4, 0.5, 17.0)
-    av = ula_steering(2, 0.5, -9.0)
+    a = ura_steering(4, 2, 0.5, 17.0, -9.0)[:, 0]
+    ah = ula_steering(4, 0.5, 17.0)[:, 0]
+    av = ula_steering(2, 0.5, -9.0)[:, 0]
     assert np.allclose(a, np.kron(ah, av), atol=1e-14)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
@@ -318,10 +317,10 @@ def _assemble_per_block(paths, cfg, gnb_orientations, ue_orientations):
             idx = np.nonzero(sel)[0]
             if len(idx) == 0:
                 continue
-            a_r = _ura_steering_many(nh_r, nv_r, D_OVER_LAMBDA,
-                                     loc_aoa[idx], aoa_el[idx])
-            a_t = _ura_steering_many(nh_t, nv_t, D_OVER_LAMBDA,
-                                     loc_aod[idx], aod_el[idx])
+            a_r = ura_steering(nh_r, nv_r, D_OVER_LAMBDA,
+                               loc_aoa[idx], aoa_el[idx])
+            a_t = ura_steering(nh_t, nv_t, D_OVER_LAMBDA,
+                               loc_aod[idx], aod_el[idx])
             scale = math.sqrt(n_r * n_t / len(idx))
             blocks[p, q] = scale * (a_r * gains[idx]) @ a_t.conj().T
             dom = idx[np.argmax(np.abs(gains[idx]))]

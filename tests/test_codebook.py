@@ -3,25 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from mmwsim.channel import ula_steering, ura_steering
-from mmwsim.codebook import (EstimationGrid, build_sector_codebook,
-                             default_full_codebook, estimation_grid,
-                             full_codebook, resolution)
+from mmwsim.channel import D_OVER_LAMBDA, panel_grid, ura_steering
+from mmwsim.codebook import (EstimationGrid, default_full_codebook,
+                             estimation_grid, resolution)
 from mmwsim.errors import ConfigurationError
 
 
 def test_sector_beam_azimuths():
-    book = build_sector_codebook(2, 16)
-    assert np.allclose(book.beam_azimuths_deg,
+    book = default_full_codebook(2, 16)
+    assert np.allclose(book.local_az_deg[:book.per_panel],
                        [-33.75, -11.25, 11.25, 33.75])
-    book = build_sector_codebook(1, 16)
-    assert np.allclose(book.beam_azimuths_deg, [-22.5, 22.5])
+    book = default_full_codebook(1, 16)
+    assert np.allclose(book.local_az_deg[:book.per_panel], [-22.5, 22.5])
 
 
 def test_sector_weights_are_boresight_steering_vectors():
-    book = build_sector_codebook(3, 64)
-    for i, az in enumerate(book.beam_azimuths_deg):
-        expected = ura_steering(8, 8, 0.5, az, 0.0)
+    book = default_full_codebook(3, 64)
+    for i, az in enumerate(book.local_az_deg[:book.per_panel]):
+        expected = ura_steering(8, 8, 0.5, az, 0.0)[:, 0]
         assert np.allclose(book.weights[:, i], expected, atol=1e-14)
     norms = np.linalg.norm(book.weights, axis=0)
     assert np.allclose(norms, 1.0, atol=1e-12)
@@ -45,13 +44,46 @@ def test_full_codebook_zero_padding_preserves_norm():
         assert not np.any(outside)
 
 
-def test_full_codebook_rejects_mismatched_books():
-    b2 = build_sector_codebook(2, 16)
-    b3 = build_sector_codebook(3, 16)
-    with pytest.raises(ConfigurationError):
-        full_codebook([b2, b2, b2, b3])
-    with pytest.raises(ConfigurationError):
-        full_codebook([b2, b2, b2])
+def _merged_sector_books(n_q, n_elements):
+    """Reference: the codebook as it was once built, one sector book of
+    per-azimuth scalar steering vectors, merged four times beam by beam."""
+    def ula(n, phi):
+        phase = 2.0 * np.pi * D_OVER_LAMBDA * np.sin(np.deg2rad(phi))
+        return np.exp(1j * np.arange(n) * phase) / np.sqrt(n)
+
+    n_beams = 2 ** n_q
+    step = 90.0 / n_beams
+    azimuths = -45.0 + (np.arange(n_beams) + 0.5) * step
+    n_h, n_v = panel_grid(n_elements)
+    weights = np.column_stack([np.kron(ula(n_h, az), ula(n_v, 0.0))
+                               for az in azimuths])
+    matrix = np.zeros((4 * n_elements, 4 * n_beams), dtype=complex)
+    panel = np.empty(4 * n_beams, dtype=int)
+    local_az = np.empty(4 * n_beams)
+    for p in range(4):
+        for i in range(n_beams):
+            b = p * n_beams + i
+            matrix[p * n_elements:(p + 1) * n_elements, b] = weights[:, i]
+            panel[b] = p
+            local_az[b] = azimuths[i]
+    return dict(n_q=n_q, per_panel=n_beams, matrix=matrix,
+                sector_weights=np.array([weights] * 4), panel=panel,
+                local_az_deg=local_az)
+
+
+@pytest.mark.parametrize("n_q", range(1, 7))
+def test_default_full_codebook_matches_merged_sector_books(n_q):
+    for n in (4, 8, 12, 16, 64, 256):
+        book = default_full_codebook(n_q, n)
+        ref = _merged_sector_books(n_q, n)
+        assert (book.n_q, book.per_panel) == (ref["n_q"], ref["per_panel"])
+        for name in ("matrix", "panel", "local_az_deg"):
+            got, want = getattr(book, name), ref[name]
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        # one weight block serves every panel
+        for block in ref["sector_weights"]:
+            assert np.array_equal(book.weights, block)
+        assert book.weights.flags.c_contiguous
 
 
 def test_resolution_frozen_values():
@@ -81,4 +113,4 @@ def test_estimation_grid_exact_sentinel():
 
 def test_codebook_size_one_bit_minimum():
     with pytest.raises(ConfigurationError):
-        build_sector_codebook(0, 16)
+        default_full_codebook(0, 16)

@@ -86,7 +86,7 @@ def _one_gnb_inputs(rows_of_ue: dict) -> AllocationInputs:
     rows = {(u, 0): BeamRows(row[None, :], {0: 0})
             for u, row in rows_of_ue.items()}
     return AllocationInputs(cfg=cfg, n_gnbs=1, n_ues=len(rows), sweeps={},
-                            true_rows=rows, est_rows=rows,
+                            monitored={}, true_rows=rows, est_rows=rows,
                             gnb_book=default_full_codebook(2, 16))
 
 

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from mmwsim import runner
-from mmwsim.allocation import (AllocMode, _initial_gnbs, allocate,
-                               build_candidates)
+from mmwsim.allocation import AllocMode, allocate, build_candidates
 from mmwsim.beamsweep import combined_rows
 from mmwsim.channel import assemble_channel
 from mmwsim.cli import main
@@ -160,10 +159,17 @@ def test_cli_bad_config_file_is_config_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.yaml")]) == 1
 
 
-def test_cli_bad_override_is_config_error(tmp_path):
+@pytest.mark.parametrize("override", [
+    "n_t=-4", "n_t=abc", "area_side_m=abc", "n_t=inf", "seed=1e30",
+    "n_t=[1,2]", "area_side_m=nan", "ue_density=nan", "n_q_csi_bits=nan",
+    "n_csi_rs=-inf", "area_side_m=.inf", "seed=-1", "area_side_m=10"])
+def test_cli_bad_override_is_config_error(tmp_path, capsys, override):
     cfg_path = _write_cfg(tmp_path)
-    assert main(["simulate", "--config", cfg_path,
-                 "--override", "n_t=-4"]) == 1
+    assert main(["simulate", "--config", cfg_path, "--out",
+                 str(tmp_path / "out"), "--override", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
 
 
 def test_cli_oracle_check(tmp_path, capsys):
@@ -286,8 +292,8 @@ def test_estimated_rows_on_demand_match_eager_build(monkeypatch):
     n_pairs = dep.n_gnbs * dep.n_ues
     with_paths = sum(1 for plist in paths.values() if plist)
     assert 0 < with_paths < n_pairs
-    # one assembly per pair with paths, for its true rows only
-    assert len(built) == with_paths
+    # one assembly per pair, with or without paths, for its true rows only
+    assert len(built) == n_pairs
     assert inputs.est_rows is not inputs.true_rows
     assert len(inputs.est_rows) == 0
 
@@ -356,14 +362,12 @@ def test_pairs_keep_rows_only_at_their_read_beams(n_csi_rs):
     paths = runner._pair_paths(cfg, dep)
     assert any(not plist for plist in paths.values())
     est_ref = _eager_estimated_rows(cfg, dep, paths)
-    initial = _initial_gnbs(inputs.sweeps)
     sizes = []
     for u in range(dep.n_ues):
         # the receive beams of the UE's dIABA and cIABA candidates, at
         # least two
         want = {b.ue_beam for mode in (AllocMode.DIABA, AllocMode.CIABA)
-                for b in build_candidates(u, inputs.sweeps[u], mode,
-                                          initial.get(u, -1), n_csi_rs).bpls}
+                for b in build_candidates(inputs, u, mode).bpls}
         if len(want) < 2:
             want |= {0, 1}
         sizes.append(len(want))
