@@ -1,9 +1,8 @@
 """BPL allocation engines: default 5G-NR, distributed/centralized
-interference-aware allocation, the exhaustive oracle, and CBF TDMA."""
+interference-aware allocation, the branch-and-bound oracle, and CBF TDMA."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from collections import Counter
@@ -477,12 +476,13 @@ ORACLE_MAX_CANDIDATES = 4
 
 
 def allocate_oracle(inputs: AllocationInputs) -> Allocation:
-    """Exhaustive search over every BPL assignment (guard-railed).
+    """Branch-and-bound search over every BPL assignment, with the same
+    result as exhaustive search (guard-railed).
 
-    Enumerates each UE's monitored candidates plus the dropped option,
-    keeps assignments satisfying all constraints, and returns the feasible
-    assignment with the highest sum throughput (lexicographically first on
-    ties).
+    Each UE takes one of its monitored candidates or is dropped.  Returns
+    the assignment satisfying all constraints with the highest sum
+    throughput, lexicographically first on ties: the one scoring every
+    assignment in ``itertools.product`` order would keep.
     """
     if inputs.n_gnbs > ORACLE_MAX_GNBS:
         raise GuardRailError(f"oracle limited to {ORACLE_MAX_GNBS} gNBs")
@@ -498,14 +498,7 @@ def allocate_oracle(inputs: AllocationInputs) -> Allocation:
                 f"oracle limited to {ORACLE_MAX_CANDIDATES} candidates per UE")
         options.append(cands.bpls + [None])
 
-    scorer = _OracleScorer(inputs, ue_ids, options)
-    best_rate = -1.0
-    best: tuple = ()
-    for choice in itertools.product(*(range(len(o)) for o in options)):
-        rate = scorer.rate(choice)
-        if rate is not None and rate > best_rate:
-            best_rate = rate
-            best = choice
+    best = _OracleScorer(inputs, ue_ids, options).search()
     serving = {}
     per_gnb: dict[int, list[int]] = {}
     for ue, opts, k in zip(ue_ids, options, best):
@@ -519,6 +512,11 @@ def allocate_oracle(inputs: AllocationInputs) -> Allocation:
                       states=states, initial_gnbs=initial)
 
 
+# relative slack on the oracle's bounds: a unit-norm column is unit-norm,
+# and a sum of rates is order-independent, only to a few ulps
+_BOUND_MARGIN = 1e-9
+
+
 class _OracleScorer:
     """Sum throughput of the oracle's assignments from per-gNB power terms.
 
@@ -529,6 +527,9 @@ class _OracleScorer:
     assignment is then scored from those, adding up the powers in the
     order of ``metrics.evaluate_allocation``, so each rate is the one it
     would give.
+
+    ``search`` walks the assignments depth first, one UE per level, and
+    scores only those that ``bound`` says may beat the best so far.
     """
 
     def __init__(self, inputs: AllocationInputs, ue_ids: list,
@@ -539,28 +540,133 @@ class _OracleScorer:
         self.options = options
         self.noise = cfg.noise_w
         self.thresh = 10 ** (cfg.sinr_min_db / 10.0)
-        # gnb_of[i][k]: gNB of UE i's option k (-1 for dropped); pos[i][k]:
-        # the row of its UE beam in UE i's kept rows (0 for dropped, never
-        # read); slot[i][k]: its index in a power-term vector; mark[i][k]:
-        # its 3-bit digit (at most ORACLE_MAX_CANDIDATES + 1 options) in the
-        # code of the sub-assignment of the gNB serving it
+        self.n_rf_sec = cfg.n_rf_gnb_sec
+        # gnb_of[i][k]: gNB of UE i's option k (-1 for dropped); panel_of:
+        # its panel (None for dropped); mark[i][k]: its 3-bit digit (at most
+        # ORACLE_MAX_CANDIDATES + 1 options) in the code of the
+        # sub-assignment of the gNB serving it
+        panel = inputs.gnb_book.panel
         self.gnb_of = [[-1 if b is None else b.gnb for b in opts]
                        for opts in options]
+        self.panel_of = [[None if b is None else int(panel[b.gnb_beam])
+                          for b in opts] for opts in options]
+        self.mark = [[(k + 1) << (3 * i) for k in range(len(opts))]
+                     for i, opts in enumerate(options)]
+        # stack[g]: gNB g's kept rows of every UE, in UE order; row[i][k]:
+        # the stack row of UE i's option k (0 for dropped, never read).  A
+        # UE keeps the same beams on every gNB, so rows line up across gNBs.
         rows = inputs.true_rows
-        self.pos = [[0 if b is None else rows[(b.ue, b.gnb)].index[b.ue_beam]
-                     for b in opts] for opts in options]
-        self.slot, self.mark, n = [], [], 0
-        for i, opts in enumerate(options):
-            self.slot.append(list(range(n, n + len(opts))))
-            self.mark.append([(k + 1) << (3 * i) for k in range(len(opts))])
-            n += len(opts)
+        self.stack = [np.vstack([rows[(u, g)].matrix for u in ue_ids])
+                      if ue_ids else None for g in range(inputs.n_gnbs)]
+        self.row, start = [], 0
+        for u, opts in zip(ue_ids, options):
+            index = rows[(u, 0)].index
+            self.row.append([0 if b is None else start + index[b.ue_beam]
+                             for b in opts])
+            start += len(index)
+        # ceiling[i][k][n - 1]: a bound on UE i's throughput on option k
+        # while its gNB serves n UEs (None: its SINR cannot reach the
+        # threshold); rest[d]: the sum of the best ceilings alone of UEs d
+        # and after (0 for a UE that can only be dropped)
+        self.ceiling = [[None if b is None else self._ceilings(b, len(options))
+                         for b in opts] for opts in options]
+        best_alone = [max([0.0] + [c[0] for c in cs if c and c[0] is not None])
+                      for cs in self.ceiling]
+        self.rest = [sum(best_alone[d:]) for d in range(len(options) + 1)]
         self.terms: dict = {}      # (gnb, code) -> _gnb_terms(...)
+
+    def _ceilings(self, bpl: BeamPairLink, n_max: int) -> list:
+        """Throughput bound of ``bpl`` on a gNB serving 1..n_max UEs: the
+        SNR of p_max / n on a unit-norm column, |r w|^2 <= ||r||^2."""
+        cfg = self.inputs.cfg
+        r = self.inputs.true_rows[(bpl.ue, bpl.gnb)][bpl.ue_beam]
+        snr = cfg.p_max_w * float(np.real(np.vdot(r, r))) / self.noise
+        out = []
+        for n in range(1, n_max + 1):
+            s = snr / n * (1.0 + _BOUND_MARGIN)
+            out.append(None if s < self.thresh else
+                       metrics.throughput(10.0 * math.log10(s), cfg))
+        return out
+
+    def bound(self, prefix) -> Optional[float]:
+        """Upper bound on the rate of every assignment that starts with
+        ``prefix`` (the options of the first UEs); None when none of them
+        is feasible.  ``search`` reaches the same bits incrementally."""
+        members = [[] for _ in range(self.inputs.n_gnbs)]
+        for i, k in enumerate(prefix):
+            if self.gnb_of[i][k] >= 0:
+                members[self.gnb_of[i][k]].append((i, k))
+        return self._total_bound(len(prefix), list(map(self._gnb_bound,
+                                                       members)))
+
+    def _gnb_bound(self, members: list) -> Optional[float]:
+        """Bound on the summed throughput of the (UE, option) ``members``
+        one gNB serves so far; None when they already fail ``rf_stage``
+        (a panel over its RF chains) or a UE's threshold.
+
+        Interference is never negative and a gNB's load only grows, so a
+        member's throughput is at most its ``ceiling`` at the present load.
+        """
+        n = len(members)
+        if n > self.n_rf_sec:
+            panels = [self.panel_of[i][k] for i, k in members]
+            if max(map(panels.count, panels)) > self.n_rf_sec:
+                return None
+        total = 0.0
+        for i, k in members:
+            ceiling = self.ceiling[i][k][n - 1]
+            if ceiling is None:
+                return None
+            total += ceiling
+        return total
+
+    def _total_bound(self, depth: int, sums: list) -> Optional[float]:
+        """The bound of a prefix of ``depth`` UEs whose gNBs' bounds are
+        ``sums``: a UE not yet placed adds at most its best ceiling alone."""
+        if None in sums:
+            return None
+        return (self.rest[depth] + sum(sums)) * (1.0 + _BOUND_MARGIN)
+
+    def search(self) -> tuple:
+        """The best choice: the first of the highest rate in product order.
+
+        Leaves are visited in product order and a leaf replaces the best
+        only with a higher rate, so skipping subtrees whose bound cannot
+        beat the best keeps the exhaustive winner.
+        """
+        best = [-1.0, ()]                        # rate, choice
+        self._descend([], [[] for _ in range(self.inputs.n_gnbs)],
+                      [0.0] * self.inputs.n_gnbs, best)
+        return best[1]
+
+    def _descend(self, prefix: list, members: list, sums: list,
+                 best: list) -> None:
+        """Search below ``prefix``; ``members[g]`` holds the (i, k) it
+        places on gNB g and ``sums[g]`` their ``_gnb_bound``."""
+        i = len(prefix)
+        if i == len(self.options):
+            rate = self.rate(tuple(prefix))
+            if rate is not None and rate > best[0]:
+                best[:] = rate, tuple(prefix)
+            return
+        for k, g in enumerate(self.gnb_of[i]):
+            prefix.append(k)
+            if g >= 0:
+                members[g].append((i, k))
+                kept, sums[g] = sums[g], self._gnb_bound(members[g])
+            bound = self._total_bound(i + 1, sums)
+            if bound is not None and bound > best[0]:
+                self._descend(prefix, members, sums, best)
+            if g >= 0:
+                members[g].pop()
+                sums[g] = kept
+            prefix.pop()
 
     def _gnb_terms(self, gnb: int, choice: tuple) -> Optional[tuple]:
         """Power terms of ``gnb``'s precoder for the UEs ``choice`` puts on
         it; None when the set is infeasible.
 
-        Returns ``(powers, own, alone)``: ``powers[slot[i][k]]`` is the power
+        Returns ``(powers, own, alone)``: ``powers[row[i][k]]`` is the power
         the precoder puts on UE i through the UE beam of its option k,
         summed over the columns; ``own[c]`` is the c-th served UE's power in
         its own column at its serving beam; ``alone`` is that power from a
@@ -568,10 +674,10 @@ class _OracleScorer:
 
         ``metrics.evaluate_allocation`` stacks one row per served UE of the
         network before the product.  With two or more rows numpy runs gemm,
-        and each row's bits equal those of the pair's kept rows used here
-        (``read_beams`` keeps at least two); a single row goes through gemv,
-        whose last bit can differ, so an assignment that serves one UE reads
-        ``alone``.
+        and each row's bits equal those of the stack used here
+        (``read_beams`` keeps at least two rows per UE); a single row goes
+        through gemv, whose last bit can differ, so an assignment that
+        serves one UE reads ``alone``.
         """
         served = [i for i, k in enumerate(choice)
                   if self.gnb_of[i][k] == gnb]
@@ -583,23 +689,20 @@ class _OracleScorer:
         except (CapacityError, RankDeficiencyError):
             return None
         w, p = state.w_combined, state.p_per_ue
-        rows = self.inputs.true_rows
-        powers, own = array("d"), array("d")
-        for i, ue in enumerate(self.ue_ids):
-            cols = p * column_powers(rows[(ue, gnb)].matrix, w)
-            powers.extend(cols.sum(axis=1)[self.pos[i]].tolist())
-            if i in served:
-                own.append(cols[self.pos[i][choice[i]], served.index(i)])
+        own_rows = [self.row[i][choice[i]] for i in served]
+        cols = p * column_powers(self.stack[gnb], w)
+        # array("d") keeps the cached terms compact, at 8 bytes a power
+        powers = array("d", cols.sum(axis=1).tolist())
+        own = array("d", cols[own_rows, range(len(served))].tolist())
         alone = None
         if len(served) == 1:
-            (i,) = served
-            row = rows[(ues[0], gnb)].matrix[self.pos[i][choice[i]]][None, :]
+            row = self.stack[gnb][own_rows]
             alone = float((p * column_powers(row, w))[0, 0])
         return powers, own, alone
 
     def rate(self, choice: tuple) -> Optional[float]:
         """Sum throughput of one complete assignment, None if infeasible."""
-        gnb_of, slot = self.gnb_of, self.slot
+        gnb_of, row = self.gnb_of, self.row
         served = [(i, k) for i, k in enumerate(choice) if gnb_of[i][k] >= 0]
         codes: dict = {}
         for i, k in served:
@@ -621,10 +724,10 @@ class _OracleScorer:
             for i, k in served:
                 if gnb_of[i][k] == g:
                     sig[i] = own[c]
-                    intra[i] = powers[slot[i][k]] - own[c]
+                    intra[i] = powers[row[i][k]] - own[c]
                     c += 1
                 else:
-                    inter[i] += powers[slot[i][k]]
+                    inter[i] += powers[row[i][k]]
         if len(served) == 1:
             (i, k), = served
             sig[i], intra[i] = found[gnb_of[i][k]][2], 0.0

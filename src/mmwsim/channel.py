@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TraceParseError, TraceReferenceError
+from .errors import ConfigurationError, TraceParseError, TraceReferenceError
 from .scenario import Deployment, NetworkConfig, direction_deg
 
 SPEED_OF_LIGHT = 299792458.0
@@ -221,10 +221,16 @@ def ingest_paths(trace_file: str, n_gnbs: Optional[int] = None,
     """Load a path trace: map (gnb, ue) -> Paths.
 
     Expects delimited text with a header row naming the columns of
-    ``_TRACE_COLUMNS``; angles in degrees.
+    ``_TRACE_COLUMNS``; angles in degrees.  A file that cannot be opened
+    is a ConfigurationError.
     """
     rows: dict[tuple[int, int], list] = {}
-    with open(trace_file, newline="") as fh:
+    try:
+        fh = open(trace_file, newline="")
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read trace file {trace_file}: {exc.strerror}") from exc
+    with fh:
         sample = fh.read(4096)
         fh.seek(0)
         delimiter = ";" if ";" in sample.split("\n", 1)[0] else ","

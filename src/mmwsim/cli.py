@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override any configuration key (repeatable)")
 
     chk = sub.add_parser("oracle-check",
-                         help="compare allocators against the exhaustive "
+                         help="compare allocators against the oracle "
                               "search on a guard-railed scenario")
     chk.add_argument("--config", required=True, help="YAML configuration file")
     return parser

@@ -45,4 +45,4 @@ class RankDeficiencyError(SimError):
 
 
 class GuardRailError(SimError):
-    """Instance too large for exhaustive-search allocation."""
+    """Instance too large for the oracle's search."""

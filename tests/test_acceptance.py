@@ -359,8 +359,9 @@ def test_criterion_8_secondary_bpl_usage(exact_campaign):
 # 9 -- complexity trends ---------------------------------------------------------
 
 def _alloc_times(cfgs: list, mode, n_real=3, reps=3) -> tuple:
-    """Total allocation wall-clock per configuration, noise-hardened.
+    """Total allocation CPU time per configuration, noise-hardened.
 
+    CPU time of this process, so other load on the host does not count;
     GC is paused while timing and a warm-up pass precedes measurement.
     """
     ctxs = [[prepare_realization(cfg, r) for r in range(n_real)]
@@ -380,9 +381,9 @@ def _alloc_times(cfgs: list, mode, n_real=3, reps=3) -> tuple:
             for _ in range(reps):
                 cycle = []
                 for row in ctxs:
-                    t0 = time.perf_counter()
+                    t0 = time.process_time()
                     allocate(row[r].inputs, mode)
-                    cycle.append(time.perf_counter() - t0)
+                    cycle.append(time.process_time() - t0)
                 cycles.append(cycle)
             cleanest = min(cycles, key=sum)
             for i, t in enumerate(cleanest):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -585,6 +587,107 @@ def test_oracle_builds_each_gnb_sub_assignment_once(monkeypatch):
         (g, tuple((u, alloc.serving[u].gnb_beam, alloc.serving[u].ue_beam)
                   for u in ues)) for g, ues in alloc.per_gnb.items())
     assert set(rebuilt) <= set(search)
+
+
+def _product_search(scorer):
+    """The oracle's search before branch and bound, verbatim: every
+    assignment in ``itertools.product`` order, a higher rate replaces."""
+    options = scorer.options
+    best_rate = -1.0
+    best: tuple = ()
+    for choice in itertools.product(*(range(len(o)) for o in options)):
+        rate = scorer.rate(choice)
+        if rate is not None and rate > best_rate:
+            best_rate = rate
+            best = choice
+    return best
+
+
+def _scorer(inputs):
+    return allocation._OracleScorer(inputs, *_oracle_options(inputs))
+
+
+def test_branch_and_bound_keeps_product_winner():
+    instances = [small_instance(seed) for seed in range(50)]
+    for seed in (1, 2, 3):
+        cfg = load_config(str(ROOT / "configs" / "tiny.yaml"), [f"seed={seed}"])
+        for r in range(60):
+            inputs = prepare_realization(cfg, r).inputs
+            if inputs.n_ues <= allocation.ORACLE_MAX_UES:
+                instances.append(inputs)
+    for inputs in instances:
+        assert _scorer(inputs).search() == _product_search(_scorer(inputs))
+
+
+def test_branch_and_bound_tie_goes_to_first_assignment(tiny_cfg):
+    # identical channels: the two UEs cannot share the gNB, and either one
+    # alone on its strongest beam reaches the rate cap
+    p = [_strong(10.0, -170.0)]
+    inputs = make_inputs(tiny_cfg, {(0, 0): p, (0, 1): p}, 1, 2)
+    scorer = _scorer(inputs)
+    rates = {c: scorer.rate(c) for c in itertools.product(
+        *(range(len(o)) for o in scorer.options))}
+    top = max(r for r in rates.values() if r is not None)
+    ties = sorted(c for c, r in rates.items() if r == top)
+    assert top == tiny_cfg.r_max_bps
+    assert ties == [(0, len(scorer.options[1]) - 1),
+                    (len(scorer.options[0]) - 1, 0)]
+    assert _scorer(inputs).search() == ties[0]
+    assert list(allocate_oracle(inputs).serving) == [0]
+
+
+def test_branch_and_bound_bounds_every_leaf_and_scores_fewer(monkeypatch):
+    # (1, 30) also holds choices over a panel's RF chains
+    overloaded = 0
+    for case in ((1, 5), (1, 30)):
+        scorer = _scorer(_tiny_inputs(*case))
+        panel = scorer.inputs.gnb_book.panel
+        for choice in itertools.product(
+                *(range(len(o)) for o in scorer.options)):
+            rate, bound = scorer.rate(choice), scorer.bound(choice)
+            assert rate is None or rate <= bound
+            # None: the bound saw the choice fail a threshold or a panel cap
+            assert bound is not None or rate is None
+            bpls = [o[k] for o, k in zip(scorer.options, choice)]
+            load = Counter((b.gnb, int(panel[b.gnb_beam]))
+                           for b in bpls if b is not None)
+            if max(load.values(), default=0) > scorer.inputs.cfg.n_rf_gnb_sec:
+                overloaded += 1
+                assert bound is None
+    assert overloaded
+    inputs = _tiny_inputs(1, 5)
+    product = list(itertools.product(
+        *(range(len(o)) for o in _scorer(inputs).options)))
+    scored = []
+    rate = allocation._OracleScorer.rate
+
+    def counted(self, choice):
+        scored.append(choice)
+        return rate(self, choice)
+
+    monkeypatch.setattr(allocation._OracleScorer, "rate", counted)
+    allocate_oracle(inputs)
+    assert scored == sorted(set(scored))      # product order, each once
+    assert len(scored) < len(product)
+
+
+def test_oracle_search_state_freed_on_return(monkeypatch):
+    # the per-call stacks and term cache go with the scorer: nothing may
+    # keep it alive until the cyclic collector runs
+    scorers = []
+    init = allocation._OracleScorer.__init__
+
+    def tracked(self, *args):
+        scorers.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(allocation._OracleScorer, "__init__", tracked)
+    gc.disable()
+    try:
+        allocate_oracle(_tiny_inputs(1, 5))
+        assert scorers and scorers[0]() is None
+    finally:
+        gc.enable()
 
 
 # -- IABA candidate scan --------------------------------------------------------

@@ -172,6 +172,18 @@ def test_cli_bad_override_is_config_error(tmp_path, capsys, override):
     assert "Traceback" not in err
 
 
+def test_cli_missing_trace_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    cfg_path = _write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg_path, "--out",
+                 str(tmp_path / "out"), "--override",
+                 f"trace_file={missing}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert str(missing) in err
+    assert "Traceback" not in err
+
+
 def test_cli_oracle_check(tmp_path, capsys):
     # tiny scenario inside the exhaustive-search guard rails
     cfg_path = _write_cfg(tmp_path, area_side_m=150.0, ue_density=200.0,
