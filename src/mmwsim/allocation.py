@@ -529,7 +529,8 @@ class _OracleScorer:
     would give.
 
     ``search`` walks the assignments depth first, one UE per level, and
-    scores only those that ``bound`` says may beat the best so far.
+    scores only those whose prefix bounds say they may beat the best so
+    far.
     """
 
     def __init__(self, inputs: AllocationInputs, ue_ids: list,
@@ -577,27 +578,32 @@ class _OracleScorer:
 
     def _ceilings(self, bpl: BeamPairLink, n_max: int) -> list:
         """Throughput bound of ``bpl`` on a gNB serving 1..n_max UEs: the
-        SNR of p_max / n on a unit-norm column, |r w|^2 <= ||r||^2."""
+        most ``metrics.throughput`` gives at an SINR of at most the SNR s of
+        p_max / n on a unit-norm column, |r w|^2 <= ||r||^2.
+
+        ``throughput`` is not monotone: alpha B log2(1 + SINR) may pass
+        r_max_bps below sinr_max_db, where the cap cuts it back, so every
+        s at or past sinr_max_db takes the larger of the two.  A leaf's
+        SINR may round a few ulps above s, so the threshold and the cap
+        tests see s with the margin; ``_total_bound`` inflates the sum.
+        """
         cfg = self.inputs.cfg
         r = self.inputs.true_rows[(bpl.ue, bpl.gnb)][bpl.ue_beam]
         snr = cfg.p_max_w * float(np.real(np.vdot(r, r))) / self.noise
+        shannon = cfg.alpha_loss * cfg.bandwidth_hz
+        s_max = 10 ** (cfg.sinr_max_db / 10.0)
+        peak = max(cfg.r_max_bps, shannon * math.log2(1.0 + s_max))
         out = []
         for n in range(1, n_max + 1):
-            s = snr / n * (1.0 + _BOUND_MARGIN)
-            out.append(None if s < self.thresh else
-                       metrics.throughput(10.0 * math.log10(s), cfg))
+            s = snr / n
+            s_up = s * (1.0 + _BOUND_MARGIN)
+            if s_up < self.thresh:
+                out.append(None)
+            elif s_up >= s_max:
+                out.append(peak)
+            else:
+                out.append(shannon * math.log2(1.0 + max(s, self.thresh)))
         return out
-
-    def bound(self, prefix) -> Optional[float]:
-        """Upper bound on the rate of every assignment that starts with
-        ``prefix`` (the options of the first UEs); None when none of them
-        is feasible.  ``search`` reaches the same bits incrementally."""
-        members = [[] for _ in range(self.inputs.n_gnbs)]
-        for i, k in enumerate(prefix):
-            if self.gnb_of[i][k] >= 0:
-                members[self.gnb_of[i][k]].append((i, k))
-        return self._total_bound(len(prefix), list(map(self._gnb_bound,
-                                                       members)))
 
     def _gnb_bound(self, members: list) -> Optional[float]:
         """Bound on the summed throughput of the (UE, option) ``members``

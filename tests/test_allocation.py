@@ -636,19 +636,49 @@ def test_branch_and_bound_tie_goes_to_first_assignment(tiny_cfg):
     assert list(allocate_oracle(inputs).serving) == [0]
 
 
+def _searched_bounds(monkeypatch, scorer):
+    """Run ``scorer.search`` and return its winner and the bound it
+    computed for each prefix it reached (None: cut as infeasible)."""
+    bounds, state = {}, {}
+    descend = allocation._OracleScorer._descend
+    total_bound = allocation._OracleScorer._total_bound
+
+    def spied_descend(self, prefix, *rest):
+        state["prefix"] = prefix          # one list, grown in place
+        return descend(self, prefix, *rest)
+
+    def recorded(self, depth, sums):
+        bound = total_bound(self, depth, sums)
+        bounds[tuple(state["prefix"])] = bound
+        return bound
+
+    with monkeypatch.context() as m:
+        m.setattr(allocation._OracleScorer, "_descend", spied_descend)
+        m.setattr(allocation._OracleScorer, "_total_bound", recorded)
+        best = scorer.search()
+    return best, bounds
+
+
+def _assert_bounds_sound(scorer, bounds):
+    """Every leaf's rate is at most the bound of each prefix of it the
+    search reached, and a prefix cut as infeasible has no feasible leaf."""
+    for choice in itertools.product(*(range(len(o)) for o in scorer.options)):
+        rate = scorer.rate(choice)
+        for d in range(1, len(choice) + 1):
+            bound = bounds.get(choice[:d], math.inf)
+            assert rate is None or (bound is not None and rate <= bound)
+
+
 def test_branch_and_bound_bounds_every_leaf_and_scores_fewer(monkeypatch):
-    # (1, 30) also holds choices over a panel's RF chains
+    # (1, 30) also holds prefixes over a panel's RF chains
     overloaded = 0
     for case in ((1, 5), (1, 30)):
         scorer = _scorer(_tiny_inputs(*case))
+        _, bounds = _searched_bounds(monkeypatch, scorer)
+        _assert_bounds_sound(scorer, bounds)
         panel = scorer.inputs.gnb_book.panel
-        for choice in itertools.product(
-                *(range(len(o)) for o in scorer.options)):
-            rate, bound = scorer.rate(choice), scorer.bound(choice)
-            assert rate is None or rate <= bound
-            # None: the bound saw the choice fail a threshold or a panel cap
-            assert bound is not None or rate is None
-            bpls = [o[k] for o, k in zip(scorer.options, choice)]
+        for prefix, bound in bounds.items():
+            bpls = [o[k] for o, k in zip(scorer.options, prefix)]
             load = Counter((b.gnb, int(panel[b.gnb_beam]))
                            for b in bpls if b is not None)
             if max(load.values(), default=0) > scorer.inputs.cfg.n_rf_gnb_sec:
@@ -669,6 +699,19 @@ def test_branch_and_bound_bounds_every_leaf_and_scores_fewer(monkeypatch):
     allocate_oracle(inputs)
     assert scored == sorted(set(scored))      # product order, each once
     assert len(scored) < len(product)
+
+
+def test_branch_and_bound_sound_under_low_rate_cap(monkeypatch):
+    # with a cap of 1e9 b/s the uncapped Shannon rate passes it at about
+    # 9.6 dB, well below sinr_max_db, so the rate is highest just below
+    # sinr_max_db and not at or above it
+    for seed in range(50):
+        inputs = small_instance(seed)
+        inputs = replace(inputs, cfg=replace(inputs.cfg, r_max_bps=1e9))
+        scorer = _scorer(inputs)
+        best, bounds = _searched_bounds(monkeypatch, scorer)
+        assert best == _product_search(scorer)
+        _assert_bounds_sound(scorer, bounds)
 
 
 def test_oracle_search_state_freed_on_return(monkeypatch):
