@@ -121,17 +121,30 @@ def gnb_precoder_state(inputs: AllocationInputs, gnb: int, ues: list,
     Raises CapacityError or RankDeficiencyError when the set is infeasible.
     """
     bpls = [serving[u] for u in ues]
-    est = [inputs.est_rows[(u, gnb)][b.ue_beam] for u, b in zip(ues, bpls)]
+    est = np.array([inputs.est_rows[(u, gnb)][b.ue_beam]
+                    for u, b in zip(ues, bpls)])
     if use_dbf:
         w_rf = w_bb = None
-        w = dbf_from_rows(np.vstack(est), ues)
+        w = dbf_from_rows(est, ues)
     else:
         w_rf = rf_stage(bpls, inputs.gnb_book, inputs.cfg.n_rf_gnb_sec)
-        # one row @ w_rf product per UE: stacking first changes the bits
-        w_bb = zf_stage(np.vstack([row @ w_rf for row in est]), ues, w_rf)
+        # a stack of one-row products, each a gemv as ``row @ w_rf`` is: a
+        # single (n, 4 n_t) @ w_rf gemm changes the bits
+        hbar = np.matmul(est[:, None, :], w_rf)[:, 0, :]
+        w_bb = zf_stage(hbar, ues, w_rf)
         w = compose(w_rf, w_bb)
     return GnbPrecoderState(gnb=gnb, served=list(ues), w_rf=w_rf, w_bb=w_bb,
                             w_combined=w, p_per_ue=inputs.cfg.p_max_w / len(ues))
+
+
+# relative slack on the IABA scan's and the oracle's bounds: a unit-norm
+# column is unit-norm, and a sum of powers or rates is order-independent,
+# only to a few ulps
+_BOUND_MARGIN = 1e-9
+# a candidate beam whose residual against its gNB's member beams has a
+# squared norm below this (codebook beams have unit norm) is treated as
+# lying in their span, and gets no span bound
+_SPAN_RESIDUAL_MIN = 1e-12
 
 
 class _Engine:
@@ -141,7 +154,10 @@ class _Engine:
     computed without touching the state (``_gnb_powers``,
     ``_inter_caused``, ``_inter_seen``); ``_apply`` is the only writer of a
     gNB's precoder and of the powers it contributes, so a tentative add
-    leaves nothing to roll back.
+    leaves nothing to roll back.  The memos (``inter_vec`` and
+    ``_member_basis``, an orthonormal basis of each gNB's member beams)
+    hold only until a gNB's precoder changes: ``_apply`` clears its
+    entries.
     """
 
     def __init__(self, inputs: AllocationInputs, use_dbf: bool):
@@ -161,6 +177,9 @@ class _Engine:
         self.inter: dict[int, dict[int, float]] = {}
         # gnb -> ue -> inter_vec; _apply clears a gNB's entries
         self._inter_memo: dict = {g: {} for g in range(inputs.n_gnbs)}
+        # gnb -> orthonormal basis of its members' serving beams; _apply
+        # clears a gNB's entry
+        self._basis: dict = {}
         self._bound_memo: dict = {}
         self._panel_of = inputs.gnb_book.panel.tolist()   # gNB beam -> panel
         # (gnb, panel) -> number of UEs served on it; commit and _drop keep
@@ -186,8 +205,8 @@ class _Engine:
         """Precoder of gNB ``g`` for ``ues`` (their BPLs in ``serving``) and
         each member's (signal, intra) power; raises Capacity/RankDeficiency."""
         state = gnb_precoder_state(self.inputs, g, ues, serving, self.use_dbf)
-        rows = np.vstack([self.inputs.true_rows[(u, g)][serving[u].ue_beam]
-                          for u in ues])
+        rows = np.array([self.inputs.true_rows[(u, g)][serving[u].ue_beam]
+                         for u in ues])
         powers = state.p_per_ue * column_powers(rows, state.w_combined)
         sums = powers.sum(axis=1)
         return state, {u: (float(powers[i, i]), float(sums[i] - powers[i, i]))
@@ -243,18 +262,14 @@ class _Engine:
             self._bound_memo[key] = val
         return val
 
-    def candidate_bounds(self, ue: int, bpls: list) -> list:
-        """Upper bound on each candidate's own linear SINR if added now.
-
-        On a gNB already serving n UEs the candidate gets P_max/(n+1) on a
-        unit-norm column, so its signal power is at most
-        P_max/(n+1) ||w_c^H H||^2; interference from the other gNBs is exact
-        already (their precoders do not change on a tentative add).
-        """
+    def _inter_bounds(self, ue: int, bpls: list) -> list:
+        """Interference the other active gNBs cause each candidate's UE
+        beam: exact already, as their precoders do not change on a
+        tentative add."""
         vecs = {g: self.inter_vec(ue, g) for g in range(self.inputs.n_gnbs)
                 if self.states[g] is not None}
         total = sum(vecs.values())
-        bounds = []
+        out = []
         for b in bpls:
             inter = 0.0
             if vecs:
@@ -262,10 +277,71 @@ class _Engine:
                 inter = float(total[pos])
                 if b.gnb in vecs:
                     inter -= float(vecs[b.gnb][pos])
+            out.append(inter)
+        return out
+
+    def candidate_bounds(self, ue: int, bpls: list) -> list:
+        """Upper bound on each candidate's own linear SINR if added now.
+
+        On a gNB already serving n UEs the candidate gets P_max/(n+1) on a
+        unit-norm column, so its signal power is at most
+        P_max/(n+1) ||w_c^H H||^2 over noise plus ``_inter_bounds``.
+        """
+        bounds = []
+        for b, inter in zip(bpls, self._inter_bounds(ue, bpls)):
             share = len(self.per_gnb[b.gnb]) + 1
             bounds.append(self.snr_bound(ue, b.gnb, b.ue_beam) / share
                           * self.noise / (self.noise + inter))
         return bounds
+
+    def _member_basis(self, g: int) -> np.ndarray:
+        """Orthonormal columns spanning (at least) the serving beams of gNB
+        ``g``'s members; (4 n_t, 0) when it serves nobody (memoized until
+        its precoder changes)."""
+        q = self._basis.get(g)
+        if q is None:
+            beams = [self.serving[u].gnb_beam for u in self.per_gnb[g]]
+            q = self._basis[g] = np.linalg.qr(
+                self.inputs.gnb_book.matrix[:, beams])[0]
+        return q
+
+    def span_bounds(self, ue: int, g: int, bpls: list) -> list:
+        """Upper bound on the own linear SINR of each of ``ue``'s candidates
+        on gNB ``g`` if added now, whatever the ZF gives; inf where there
+        is none.
+
+        The candidate's column of ``compose(w_rf, w_bb)`` has unit norm and
+        lies in the span of W_rf, its gNB's member beams and its own.  So
+        with P the projection on that span, its signal power is at most
+        P_max/(n+1) ||P r||^2 for its true row r, over noise plus
+        ``_inter_bounds``: intra-cell power is never negative.  P is built
+        from ``_member_basis`` and each candidate beam's residual against
+        it, in one batch.  A beam that is a member's adds nothing; any
+        other beam whose residual is below ``_SPAN_RESIDUAL_MIN`` gets no
+        bound.
+        """
+        rows = self.inputs.true_rows[(ue, g)]
+        r = rows.matrix[[rows.index[b.ue_beam] for b in bpls]]
+        beams = self.inputs.gnb_book.matrix[:, [b.gnb_beam for b in bpls]]
+        q = self._member_basis(g)
+        in_span = column_powers(r, q).sum(axis=1)
+        resid = beams - q @ (q.conj().T @ beams)
+        resid_sq = (resid.real ** 2 + resid.imag ** 2).sum(axis=0)
+        along = np.einsum("ij,ji->i", r, resid)
+        along = along.real ** 2 + along.imag ** 2
+        members = {self.serving[u].gnb_beam for u in self.per_gnb[g]}
+        scale = self.p_max / (len(self.per_gnb[g]) + 1)
+        inters = self._inter_bounds(ue, bpls)
+        out = []
+        for j, b in enumerate(bpls):
+            gain = float(in_span[j])
+            if b.gnb_beam not in members:
+                if resid_sq[j] < _SPAN_RESIDUAL_MIN:
+                    out.append(math.inf)
+                    continue
+                gain += float(along[j] / resid_sq[j])
+            out.append(scale * gain / (self.noise + inters[j]))
+        return out
 
     def _sinr(self, sig_intra: tuple, inter: dict) -> float:
         sig, intra = sig_intra
@@ -277,13 +353,14 @@ class _Engine:
     # -- checks and changes -------------------------------------------------
 
     def try_candidate(self, bpl: BeamPairLink, check_network_wide: bool,
-                      floor: float) -> Optional[float]:
+                      floor: float) -> Optional[tuple]:
         """The candidate's own linear SINR if it were added now, when that
         beats ``floor`` and no checked UE would fall below the threshold,
-        else None.  Nothing is written.  The checks run in stages, each only
-        if the one before passes: the candidate itself, then its gNB's other
-        members, then (network-wide) every UE another gNB serves.  The
-        caller has checked ``capacity_ok``.
+        with its gNB's precoder and powers for ``commit``; else None.
+        Nothing is written.  The checks run in stages, each only if the one
+        before passes: the candidate itself, then its gNB's other members,
+        then (network-wide) every UE another gNB serves.  The caller has
+        checked ``capacity_ok``.
         """
         g, ue = bpl.gnb, bpl.ue
         thresh = self.sinr_min_lin
@@ -306,7 +383,7 @@ class _Engine:
                 inter[g] = c
                 if self._sinr((self.sig[u], self.intra[u]), inter) < thresh:
                     return None
-        return own
+        return own, state, powers
 
     def _apply(self, g: int, state: Optional[GnbPrecoderState],
                powers: dict) -> None:
@@ -315,6 +392,7 @@ class _Engine:
         UEs of the other gNBs."""
         self.states[g] = state
         self._inter_memo[g] = {}
+        self._basis.pop(g, None)
         for u, (s, i) in powers.items():
             self.sig[u] = s
             self.intra[u] = i
@@ -325,16 +403,20 @@ class _Engine:
             for u, c in self._inter_caused(g, state).items():
                 self.inter[u][g] = c
 
-    def commit(self, bpl: BeamPairLink) -> bool:
-        """Allocate for real; returns False (state unchanged) on failure."""
+    def commit(self, bpl: BeamPairLink, built: Optional[tuple] = None) -> bool:
+        """Allocate for real; returns False (state unchanged) on failure.
+        ``built`` is the (precoder, powers) ``try_candidate`` gave for
+        ``bpl`` on the present state, if it ran."""
         if not self.capacity_ok(bpl):
             return False
         g, ue = bpl.gnb, bpl.ue
-        try:
-            state, powers = self._gnb_powers(g, self.per_gnb[g] + [ue],
-                                             {**self.serving, ue: bpl})
-        except (RankDeficiencyError, CapacityError):
-            return False
+        if built is None:
+            try:
+                built = self._gnb_powers(g, self.per_gnb[g] + [ue],
+                                         {**self.serving, ue: bpl})
+            except (RankDeficiencyError, CapacityError):
+                return False
+        state, powers = built
         self.serving[ue] = bpl
         self.per_gnb[g].append(ue)
         self._panel_load[self._panel(bpl)] += 1
@@ -440,6 +522,15 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
     distributed variant, network-wide for the centralized one) would drop
     below the coverage threshold.  The feasible candidate with the highest
     own SINR is committed.
+
+    The scan runs in descending order of ``candidate_bounds`` and stops at
+    the first candidate whose bound cannot reach the threshold or beat the
+    incumbent.  It skips, without building a precoder, a candidate whose
+    ``span_bounds`` (its row projected on the span of its gNB's RF beams,
+    which holds whatever the ZF gives) cannot either; skipped candidates
+    would be rejected, so the scan commits what the full scan commits.
+    The span bounds of a gNB's candidates are computed together, when the
+    scan first reaches one of them.
     """
     if mode not in (AllocMode.DIABA, AllocMode.CIABA):
         raise ValueError(f"allocate_iaba expects an IABA mode, got {mode}")
@@ -448,24 +539,33 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
     initial = _initial_gnbs(inputs.sweeps)
     for ue in _ue_order(inputs.sweeps):
         cands = build_candidates(inputs, ue, mode)
-        best_bpl = None
+        best = None                      # (bpl, (precoder, powers))
         best_sinr = -math.inf
         # Scanning in descending bound order lets the loop stop as soon as
         # no remaining candidate can beat the incumbent or the threshold.
         bpls = [b for b in cands.bpls if engine.capacity_ok(b)]
         bounds = engine.candidate_bounds(ue, bpls)
+        spans: dict = {}                 # candidate index -> span bound
         order = sorted(range(len(bpls)), key=lambda i: -bounds[i])
         for i in order:
             bpl, bound = bpls[i], bounds[i]
             if bound < engine.sinr_min_lin or bound <= best_sinr:
                 break
-            own = engine.try_candidate(bpl, check_network_wide=network_wide,
-                                       floor=best_sinr)
-            if own is not None:
-                best_sinr = own
-                best_bpl = bpl
-        if best_bpl is not None:
-            engine.commit(best_bpl)
+            if i not in spans:
+                on_gnb = [j for j, b in enumerate(bpls) if b.gnb == bpl.gnb]
+                spans.update(zip(on_gnb, engine.span_bounds(
+                    ue, bpl.gnb, [bpls[j] for j in on_gnb])))
+            # skip, not stop: the order and its tie rule stay the same
+            span = spans[i] * (1.0 + _BOUND_MARGIN)
+            if span < engine.sinr_min_lin or span <= best_sinr:
+                continue
+            tried = engine.try_candidate(bpl, check_network_wide=network_wide,
+                                         floor=best_sinr)
+            if tried is not None:
+                best_sinr = tried[0]
+                best = bpl, tried[1:]
+        if best is not None:
+            engine.commit(*best)
     _enforce_coverage(engine, inputs)
     return engine.to_allocation(mode, initial)
 
@@ -510,11 +610,6 @@ def allocate_oracle(inputs: AllocationInputs) -> Allocation:
               for g, ues in per_gnb.items()}
     return Allocation(serving=serving, per_gnb=per_gnb, mode=AllocMode.ORACLE,
                       states=states, initial_gnbs=initial)
-
-
-# relative slack on the oracle's bounds: a unit-norm column is unit-norm,
-# and a sum of rates is order-independent, only to a few ulps
-_BOUND_MARGIN = 1e-9
 
 
 class _OracleScorer:

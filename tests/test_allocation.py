@@ -982,21 +982,26 @@ def _unpruned_iaba(inputs, mode):
     return engine.to_allocation(mode, initial)
 
 
-def _desk_inputs():
+def _desk_inputs(**overrides):
     """Desk realization of the acceptance ordering profile: 76 UEs on 4
-    gNBs; cIABA fills a gNB with 16 UEs, and some of its candidates fail
-    only on another gNB's UEs."""
+    gNBs; with exact CSI, cIABA fills a gNB with 16 UEs, and some of its
+    candidates fail only on another gNB's UEs."""
     cfg = desk_scale_config(n_ue_hotspots=12, hotspot_fraction=1.0,
-                            hotspot_radius_m=3.0)
+                            hotspot_radius_m=3.0, **overrides)
     inputs = prepare_realization(cfg, 3).inputs
     assert inputs.n_ues > 60
     return inputs
 
 
+# the CSI of the dense-quantized benchmark workload: the precoders are
+# designed on estimated rows, the SINRs read on the true ones
+QUANTIZED_CSI = dict(n_q_csi_bits=6, n_csi_rs=4)
+
+
 def test_iaba_matches_unpruned_reference():
     cases = [_tiny_inputs(seed, r) for seed, r in TINY_ORACLE_CASES]
     cases += [small_instance(seed) for seed in range(4)]
-    cases.append(_desk_inputs())
+    cases += [_desk_inputs(), _desk_inputs(**QUANTIZED_CSI)]
     full_gnb = False
     for inputs in cases:
         for mode in (AllocMode.DIABA, AllocMode.CIABA):
@@ -1019,10 +1024,10 @@ def test_iaba_bound_holds_and_prunes(monkeypatch):
         return out
 
     def watched(self, bpl, *args, **kwargs):
-        own = try_candidate(self, bpl, *args, **kwargs)
-        if own is not None:
-            checked.append((own, bounds[bpl]))
-        return own
+        tried = try_candidate(self, bpl, *args, **kwargs)
+        if tried is not None:
+            checked.append((tried[0], bounds[bpl]))
+        return tried
 
     monkeypatch.setattr(allocation._Engine, "candidate_bounds", recorded)
     monkeypatch.setattr(allocation._Engine, "try_candidate", watched)
@@ -1037,6 +1042,56 @@ def test_iaba_bound_holds_and_prunes(monkeypatch):
         del keys[:]
         _unpruned_iaba(inputs, mode)
         assert n_pruned < len(keys)
+
+
+@pytest.mark.parametrize("csi", [{}, QUANTIZED_CSI], ids=["exact", "6-bit"])
+def test_span_bound_skips_only_losers(monkeypatch, csi):
+    # beside each UE's scan, on the same engine state, run the scan without
+    # the span-bound skip: every candidate the bound skips is one the
+    # unchanged try_candidate rejects at the same floor, every own SINR it
+    # returns is within the bound, and its other tries are the scan's own
+    inputs = _desk_inputs(**csi)
+    candidate_bounds = allocation._Engine.candidate_bounds
+    try_candidate = allocation._Engine.try_candidate
+    margin = 1.0 + allocation._BOUND_MARGIN
+    expected, tried, skipped = [], [], []
+
+    def unskipped_scan(self, ue, bpls):
+        bounds = candidate_bounds(self, ue, bpls)
+        spans = {}
+        for g in {b.gnb for b in bpls}:
+            on_gnb = [b for b in bpls if b.gnb == g]
+            spans.update(zip(on_gnb, self.span_bounds(ue, g, on_gnb)))
+        thresh, floor = self.sinr_min_lin, -math.inf
+        for i in sorted(range(len(bpls)), key=lambda i: -bounds[i]):
+            bpl = bpls[i]
+            if bounds[i] < thresh or bounds[i] <= floor:
+                break
+            out = try_candidate(self, bpl, network_wide, floor)
+            if out is not None:
+                assert out[0] <= spans[bpl] * margin
+            if spans[bpl] * margin < thresh or spans[bpl] * margin <= floor:
+                assert out is None
+                skipped.append(bpl)
+                continue
+            expected.append((bpl, floor))
+            if out is not None:
+                floor = out[0]
+        return bounds
+
+    def watched(self, bpl, check_network_wide, floor):
+        tried.append((bpl, floor))
+        return try_candidate(self, bpl, check_network_wide, floor)
+
+    monkeypatch.setattr(allocation._Engine, "candidate_bounds", unskipped_scan)
+    monkeypatch.setattr(allocation._Engine, "try_candidate", watched)
+    for mode in (AllocMode.DIABA, AllocMode.CIABA):
+        network_wide = mode is AllocMode.CIABA
+        for log in (expected, tried, skipped):
+            del log[:]
+        allocate_iaba(inputs, mode)
+        assert tried == expected
+        assert skipped
 
 
 def _plain_state(engine):
@@ -1055,19 +1110,61 @@ def test_try_candidate_changes_no_state(monkeypatch):
 
     def watched(self, bpl, *args, **kwargs):
         before, states = _plain_state(self), list(self.states.items())
-        own = try_candidate(self, bpl, *args, **kwargs)
+        tried = try_candidate(self, bpl, *args, **kwargs)
         assert _plain_state(self) == before
         after = list(self.states.items())
         assert [g for g, _ in after] == [g for g, _ in states]
         assert all(s is t for (_, s), (_, t) in zip(after, states))
-        accepted.append(own is not None)
-        return own
+        accepted.append(tried is not None)
+        return tried
 
     monkeypatch.setattr(allocation._Engine, "try_candidate", watched)
     for mode in (AllocMode.DIABA, AllocMode.CIABA):
         del accepted[:]
         allocate_iaba(inputs, mode)
         assert True in accepted and False in accepted
+
+
+def _per_row_hbar(est, w_rf):
+    return np.vstack([row @ w_rf for row in est])
+
+
+def test_stacked_hbar_has_the_bits_of_per_row_products(monkeypatch):
+    # gnb_precoder_state forms H-bar as the stacked product
+    # np.matmul(est[:, None, :], w_rf)[:, 0, :], which numpy runs as one
+    # gemv per row, as ``row @ w_rf`` is.  A numpy or BLAS that runs it
+    # otherwise fails here instead of moving the simulator's outputs.
+    rng = np.random.default_rng(0)
+
+    def complex_normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for n_antennas in (256, 1024):
+        for n in range(1, 17):
+            est = complex_normal(n, n_antennas)
+            w_rf = complex_normal(n_antennas, n)
+            stacked = np.matmul(est[:, None, :], w_rf)[:, 0, :]
+            assert stacked.tobytes() == _per_row_hbar(est, w_rf).tobytes()
+    # and so does every H-bar the allocators build on a desk realization
+    inputs = _desk_inputs(**QUANTIZED_CSI)
+    build, zf = allocation.gnb_precoder_state, allocation.zf_stage
+    est_of, checked = [], []
+
+    def noted(inputs, gnb, ues, serving, *args, **kwargs):
+        est_of[:] = [[inputs.est_rows[(u, gnb)][serving[u].ue_beam]
+                      for u in ues]]
+        return build(inputs, gnb, ues, serving, *args, **kwargs)
+
+    def compared(hbar, ues, w_rf=None):
+        assert hbar.tobytes() == _per_row_hbar(est_of[0], w_rf).tobytes()
+        checked.append(len(ues))
+        return zf(hbar, ues, w_rf)
+
+    monkeypatch.setattr(allocation, "gnb_precoder_state", noted)
+    monkeypatch.setattr(allocation, "zf_stage", compared)
+    for mode in (AllocMode.FIVEG_NR, AllocMode.DIABA, AllocMode.CIABA):
+        allocate(inputs, mode)
+    assert 1 in checked and max(checked) > 8
 
 
 def test_panel_load_matches_serving_after_every_change(monkeypatch):
