@@ -14,7 +14,7 @@ import numpy as np
 
 from . import metrics
 from .beamsweep import BeamPairLink, Sweep
-from .codebook import FullCodebook
+from .codebook import N_SEC, FullCodebook
 from .errors import CapacityError, GuardRailError, RankDeficiencyError
 from .metrics import column_powers
 from .precoder import (GnbPrecoderState, compose, dbf_from_rows, rf_stage,
@@ -145,6 +145,12 @@ _BOUND_MARGIN = 1e-9
 # squared norm below this (codebook beams have unit norm) is treated as
 # lying in their span, and gets no span bound
 _SPAN_RESIDUAL_MIN = 1e-12
+# the ZF screen keeps a bound only where cond_F(H) = ||H||_F ||H^-1||_F, an
+# upper bound on cond_2, is at most this: the full build inverts the Gram
+# matrix H H^H, so its relative error there is about cond^2 eps ~ 2e-8
+_ZF_COND_MAX = 1e4
+# relative slack on the ZF screen's bound, about 450 times that error
+_ZF_MARGIN = 1e-5
 
 
 class _Engine:
@@ -157,7 +163,8 @@ class _Engine:
     leaves nothing to roll back.  The memos (``inter_vec`` and
     ``_member_basis``, an orthonormal basis of each gNB's member beams)
     hold only until a gNB's precoder changes: ``_apply`` clears its
-    entries.
+    entries.  ``_book_gram`` is B^H B for the gNB codebook B, which
+    ``zf_bounds`` reads.
     """
 
     def __init__(self, inputs: AllocationInputs, use_dbf: bool):
@@ -180,6 +187,9 @@ class _Engine:
         # gnb -> orthonormal basis of its members' serving beams; _apply
         # clears a gNB's entry
         self._basis: dict = {}
+        # B has one block per panel, the same on every panel
+        weights = inputs.gnb_book.weights
+        self._book_gram = np.kron(np.eye(N_SEC), weights.conj().T @ weights)
         self._bound_memo: dict = {}
         self._panel_of = inputs.gnb_book.panel.tolist()   # gNB beam -> panel
         # (gnb, panel) -> number of UEs served on it; commit and _drop keep
@@ -305,16 +315,16 @@ class _Engine:
                 self.inputs.gnb_book.matrix[:, beams])[0]
         return q
 
-    def span_bounds(self, ue: int, g: int, bpls: list) -> list:
+    def span_bounds(self, ue: int, g: int, bpls: list, inters: list) -> list:
         """Upper bound on the own linear SINR of each of ``ue``'s candidates
         on gNB ``g`` if added now, whatever the ZF gives; inf where there
-        is none.
+        is none.  ``inters`` are their ``_inter_bounds``.
 
         The candidate's column of ``compose(w_rf, w_bb)`` has unit norm and
         lies in the span of W_rf, its gNB's member beams and its own.  So
         with P the projection on that span, its signal power is at most
-        P_max/(n+1) ||P r||^2 for its true row r, over noise plus
-        ``_inter_bounds``: intra-cell power is never negative.  P is built
+        P_max/(n+1) ||P r||^2 for its true row r, over noise plus its
+        inter-cell bound: intra-cell power is never negative.  P is built
         from ``_member_basis`` and each candidate beam's residual against
         it, in one batch.  A beam that is a member's adds nothing; any
         other beam whose residual is below ``_SPAN_RESIDUAL_MIN`` gets no
@@ -331,7 +341,6 @@ class _Engine:
         along = along.real ** 2 + along.imag ** 2
         members = {self.serving[u].gnb_beam for u in self.per_gnb[g]}
         scale = self.p_max / (len(self.per_gnb[g]) + 1)
-        inters = self._inter_bounds(ue, bpls)
         out = []
         for j, b in enumerate(bpls):
             gain = float(in_span[j])
@@ -342,6 +351,71 @@ class _Engine:
                 gain += float(along[j] / resid_sq[j])
             out.append(scale * gain / (self.noise + inters[j]))
         return out
+
+    def zf_bounds(self, ue: int, g: int, bpls: list, inters: list) -> list:
+        """Upper bound on the own linear SINR ``try_candidate`` would give
+        each of ``ue``'s candidates on gNB ``g``, from the ZF the full build
+        solves; inf where there is no certified one.  ``inters`` are their
+        ``_inter_bounds``.
+
+        With B the codebook and E the estimated rows of the n members, then
+        the candidate, H = E B[:, member beams + candidate beam] is the full
+        build's H_bar.  Its ZF column is W_rf v / ||W_rf v|| with v =
+        H^-1 e_last and ||W_rf v||^2 = v^H G v, G the Gram matrix of those
+        beams, so the signal is P_max/(n+1) |t|^2 / v^H G v with t the true
+        row times W_rf v, over noise plus the inter-cell bound: intra-cell
+        power is never negative.  One product over the members' and the k
+        candidates' rows and beams and one batched inverse serve all
+        candidates.  A gNB with no members gets no bound (the span bound is
+        exact there), nor does one whose members repeat a serving beam, a
+        candidate on a member's beam (H is singular), a singular stack, or
+        an H with cond_F = ||H||_F ||H^-1||_F above ``_ZF_COND_MAX``.
+        """
+        out = np.full(len(bpls), math.inf)
+        members = self.per_gnb[g]
+        n = len(members)
+        beams = [self.serving[u].gnb_beam for u in members]
+        if not n or len(set(beams)) < n:
+            return out.tolist()
+        keep = [j for j, b in enumerate(bpls) if b.gnb_beam not in beams]
+        if not keep:
+            return out.tolist()
+        cands = [bpls[j] for j in keep]
+        est, pair = self.inputs.est_rows, self.inputs.est_rows[(ue, g)]
+        rows = np.array([est[(u, g)][self.serving[u].ue_beam] for u in members]
+                        + [pair[b.ue_beam] for b in cands])
+        sel = np.array(beams + [b.gnb_beam for b in cands])
+        w = self.inputs.gnb_book.matrix[:, sel]
+        c = rows @ w
+        # candidate j's rows and columns of c: the members', then n + j
+        k = len(cands)
+        pos = np.empty((k, n + 1), dtype=int)
+        pos[:, :n] = np.arange(n)
+        pos[:, n] = n + np.arange(k)
+        h = c[pos[:, :, None], pos[:, None, :]]
+        cols = sel[pos]
+        gram = self._book_gram[cols[:, :, None], cols[:, None, :]]
+        if est is self.inputs.true_rows:
+            c_true = c[n:]
+        else:
+            pair = self.inputs.true_rows[(ue, g)]
+            c_true = np.array([pair[b.ue_beam] for b in cands]) @ w
+        try:
+            inv = np.linalg.inv(h)
+        except np.linalg.LinAlgError:
+            return out.tolist()
+        inter = np.array([inters[j] for j in keep])
+        with np.errstate(all="ignore"):
+            cond = (np.linalg.norm(h, axis=(1, 2))
+                    * np.linalg.norm(inv, axis=(1, 2)))
+            v = inv[:, :, n]
+            quad = np.einsum("ki,kij,kj->k", v.conj(), gram, v).real
+            t = (c_true[np.arange(k)[:, None], pos] * v).sum(axis=1)
+            bound = (self.p_max / (n + 1) * (t.real ** 2 + t.imag ** 2)
+                     / quad / (self.noise + inter))
+            ok = (cond <= _ZF_COND_MAX) & (quad > 0) & np.isfinite(bound)
+        out[np.array(keep)[ok]] = bound[ok]
+        return out.tolist()
 
     def _sinr(self, sig_intra: tuple, inter: dict) -> float:
         sig, intra = sig_intra
@@ -531,6 +605,15 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
     would be rejected, so the scan commits what the full scan commits.
     The span bounds of a gNB's candidates are computed together, when the
     scan first reaches one of them.
+
+    A candidate that passes the span bound is then screened by its
+    ``zf_bounds``: the own SINR of the ZF the full build would solve, from
+    one (n+1)x(n+1) beam-space system per candidate instead of a 4 n_t-row
+    build.  That bound is used only where the system's condition number is
+    certified small (``_ZF_COND_MAX``), with the slack ``_ZF_MARGIN``;
+    elsewhere the candidate gets the full try.  A gNB's ZF bounds are
+    computed together, when the scan is first about to try one of its
+    candidates, for those its other bounds do not already rule out.
     """
     if mode not in (AllocMode.DIABA, AllocMode.CIABA):
         raise ValueError(f"allocate_iaba expects an IABA mode, got {mode}")
@@ -545,19 +628,41 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
         # no remaining candidate can beat the incumbent or the threshold.
         bpls = [b for b in cands.bpls if engine.capacity_ok(b)]
         bounds = engine.candidate_bounds(ue, bpls)
+        inters: dict = {}                # candidate index -> _inter_bounds
         spans: dict = {}                 # candidate index -> span bound
+        zfs: dict = {}                   # candidate index -> ZF bound
+        screened: set = set()            # gNBs whose ZF bounds are in zfs
+
+        def loses(j: int) -> bool:
+            """Whether candidate ``j``'s bounds rule it out at ``best_sinr``;
+            true again at any later, higher ``best_sinr``."""
+            return any(x < engine.sinr_min_lin or x <= best_sinr for x in (
+                bounds[j], spans[j] * (1.0 + _BOUND_MARGIN),
+                zfs.get(j, math.inf) * (1.0 + _ZF_MARGIN)))
+
+        on_gnb: dict = {}                # gNB -> its candidates' indices
+        for j, b in enumerate(bpls):
+            on_gnb.setdefault(b.gnb, []).append(j)
         order = sorted(range(len(bpls)), key=lambda i: -bounds[i])
         for i in order:
             bpl, bound = bpls[i], bounds[i]
             if bound < engine.sinr_min_lin or bound <= best_sinr:
                 break
+            g = bpl.gnb
             if i not in spans:
-                on_gnb = [j for j, b in enumerate(bpls) if b.gnb == bpl.gnb]
-                spans.update(zip(on_gnb, engine.span_bounds(
-                    ue, bpl.gnb, [bpls[j] for j in on_gnb])))
+                near = [bpls[j] for j in on_gnb[g]]
+                inters.update(zip(on_gnb[g], engine._inter_bounds(ue, near)))
+                spans.update(zip(on_gnb[g], engine.span_bounds(
+                    ue, g, near, [inters[j] for j in on_gnb[g]])))
+            if g not in screened and not loses(i):
+                # only where the scan is about to try g, for the candidates
+                # the bounds above do not already rule out
+                screened.add(g)
+                live = [j for j in on_gnb[g] if not loses(j)]
+                zfs.update(zip(live, engine.zf_bounds(
+                    ue, g, [bpls[j] for j in live], [inters[j] for j in live])))
             # skip, not stop: the order and its tie rule stay the same
-            span = spans[i] * (1.0 + _BOUND_MARGIN)
-            if span < engine.sinr_min_lin or span <= best_sinr:
+            if loses(i):
                 continue
             tried = engine.try_candidate(bpl, check_network_wide=network_wide,
                                          floor=best_sinr)

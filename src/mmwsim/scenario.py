@@ -124,6 +124,15 @@ class NetworkConfig:
             raise ConfigurationError("seed must be non-negative")
         if self.n_subpaths < 1:
             raise ConfigurationError("n_subpaths must be >= 1")
+        if self.d_blockage_m <= 0:
+            raise ConfigurationError("d_blockage_m must be positive")
+        for name in ("n_scatterers", "scatterer_height_max_m"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be non-negative")
+        if self.alpha_loss <= 0:
+            raise ConfigurationError("alpha_loss must be positive")
+        if self.r_max_bps <= 0:
+            raise ConfigurationError("r_max_bps must be positive")
         if self.n_ue_hotspots < 0:
             raise ConfigurationError("n_ue_hotspots must be non-negative")
         if not 0.0 <= self.hotspot_fraction <= 1.0:

@@ -8,6 +8,7 @@ import pytest
 
 from mmwsim.allocation import AllocationInputs
 from mmwsim.channel import Paths
+from mmwsim.errors import CapacityError, RankDeficiencyError
 from mmwsim.runner import build_inputs
 from mmwsim.scenario import NetworkConfig
 
@@ -57,6 +58,18 @@ def small_instance(seed: int) -> AllocationInputs:
                     length_m=rng.uniform(30.0, 150.0)))
             pairs[(g, u)] = plist
     return make_inputs(cfg, pairs, n_gnbs, n_ues)
+
+
+def own_sinr(engine, bpl):
+    """The own SINR ``try_candidate`` computes for ``bpl`` on the engine's
+    present state, whatever its floor; None where the full build fails."""
+    try:
+        _, powers = engine._gnb_powers(bpl.gnb,
+                                       engine.per_gnb[bpl.gnb] + [bpl.ue],
+                                       {**engine.serving, bpl.ue: bpl})
+    except (RankDeficiencyError, CapacityError):
+        return None
+    return engine._sinr(powers[bpl.ue], engine._inter_seen(bpl))
 
 
 @pytest.fixture

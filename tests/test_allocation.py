@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_inputs, path, small_instance
+from conftest import make_inputs, own_sinr, path, small_instance
 from mmwsim import allocation
 from mmwsim.allocation import (ORACLE_MAX_CANDIDATES, AllocMode, Allocation,
                                _initial_gnbs, allocate, allocate_5gnr,
@@ -1047,32 +1047,54 @@ def test_iaba_bound_holds_and_prunes(monkeypatch):
 @pytest.mark.parametrize("csi", [{}, QUANTIZED_CSI], ids=["exact", "6-bit"])
 def test_span_bound_skips_only_losers(monkeypatch, csi):
     # beside each UE's scan, on the same engine state, run the scan without
-    # the span-bound skip: every candidate the bound skips is one the
-    # unchanged try_candidate rejects at the same floor, every own SINR it
-    # returns is within the bound, and its other tries are the scan's own
+    # the span-bound and ZF-screen skips: every candidate either skips is
+    # one the unchanged try_candidate rejects at the same floor, every own
+    # SINR is within both bounds, and its other tries are the scan's own
     inputs = _desk_inputs(**csi)
     candidate_bounds = allocation._Engine.candidate_bounds
     try_candidate = allocation._Engine.try_candidate
     margin = 1.0 + allocation._BOUND_MARGIN
-    expected, tried, skipped = [], [], []
+    zf_margin = 1.0 + allocation._ZF_MARGIN
+    expected, tried, skipped, screened, certified = [], [], [], [], []
 
     def unskipped_scan(self, ue, bpls):
         bounds = candidate_bounds(self, ue, bpls)
-        spans = {}
+        spans, zfs = {}, {}
         for g in {b.gnb for b in bpls}:
             on_gnb = [b for b in bpls if b.gnb == g]
-            spans.update(zip(on_gnb, self.span_bounds(ue, g, on_gnb)))
+            spans.update(zip(on_gnb, self.span_bounds(
+                ue, g, on_gnb, self._inter_bounds(ue, on_gnb))))
         thresh, floor = self.sinr_min_lin, -math.inf
+
+        def loses(x):
+            return x < thresh or x <= floor
+
         for i in sorted(range(len(bpls)), key=lambda i: -bounds[i]):
             bpl = bpls[i]
-            if bounds[i] < thresh or bounds[i] <= floor:
+            if loses(bounds[i]):
                 break
             out = try_candidate(self, bpl, network_wide, floor)
             if out is not None:
                 assert out[0] <= spans[bpl] * margin
-            if spans[bpl] * margin < thresh or spans[bpl] * margin <= floor:
+            if loses(spans[bpl] * margin):
                 assert out is None
                 skipped.append(bpl)
+                continue
+            if bpl not in zfs:
+                # the scan's batch: the gNB's candidates that its other
+                # bounds do not rule out at this floor
+                live = [b for j, b in enumerate(bpls) if b.gnb == bpl.gnb
+                        and not loses(bounds[j]) and not loses(spans[b] * margin)]
+                zfs.update(zip(live, self.zf_bounds(
+                    ue, bpl.gnb, live, self._inter_bounds(ue, live))))
+            if math.isfinite(zfs[bpl]):
+                own = own_sinr(self, bpl)
+                if own is not None:
+                    assert own <= zfs[bpl] * zf_margin
+                    certified.append(own)
+            if loses(zfs[bpl] * zf_margin):
+                assert out is None
+                screened.append(bpl)
                 continue
             expected.append((bpl, floor))
             if out is not None:
@@ -1087,11 +1109,11 @@ def test_span_bound_skips_only_losers(monkeypatch, csi):
     monkeypatch.setattr(allocation._Engine, "try_candidate", watched)
     for mode in (AllocMode.DIABA, AllocMode.CIABA):
         network_wide = mode is AllocMode.CIABA
-        for log in (expected, tried, skipped):
+        for log in (expected, tried, skipped, screened, certified):
             del log[:]
         allocate_iaba(inputs, mode)
         assert tried == expected
-        assert skipped
+        assert skipped and screened and certified
 
 
 def _plain_state(engine):

@@ -2,7 +2,11 @@ import csv
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from mmwsim.metrics import column_powers
 from mmwsim.runner import (RECORD_FIELDS, desk_scale_config, emit,
                            prepare_realization, run_campaign, run_realization)
 from mmwsim.scenario import NetworkConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _small_cfg(**overrides):
@@ -94,6 +100,25 @@ def test_emit_byte_identical_across_same_seed_runs(tmp_path):
     assert out["a"]["summary"] == out["b"]["summary"]
 
 
+def test_simulate_outputs_do_not_depend_on_the_process(tmp_path):
+    # str hashes, and so set order, change with PYTHONHASHSEED: two fresh
+    # processes must still write the same bytes
+    out = {}
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "mmwsim.cli", "simulate", "--config",
+             str(ROOT / "configs" / "tiny.yaml"), "--realizations", "20",
+             "--alloc", "5gnr,diaba,ciaba,dbf,cbf-tdma",
+             "--out", str(tmp_path / hash_seed)],
+            env=env, check=True, capture_output=True, timeout=60)
+        out[hash_seed] = {name: (tmp_path / hash_seed / name).read_bytes()
+                          for name in ("records.csv", "summary.json")}
+    assert out["0"] == out["1"]
+
+
 def test_emit_handles_dropped_ues_in_summary(tmp_path):
     # a deployment with no detectable links yields -inf medians; the summary
     # must still serialize
@@ -162,7 +187,10 @@ def test_cli_bad_config_file_is_config_error(tmp_path):
 @pytest.mark.parametrize("override", [
     "n_t=-4", "n_t=abc", "area_side_m=abc", "n_t=inf", "seed=1e30",
     "n_t=[1,2]", "area_side_m=nan", "ue_density=nan", "n_q_csi_bits=nan",
-    "n_csi_rs=-inf", "area_side_m=.inf", "seed=-1", "area_side_m=10"])
+    "n_csi_rs=-inf", "area_side_m=.inf", "seed=-1", "area_side_m=10",
+    # a traceback from numpy or a division, or a run with no meaning
+    "d_blockage_m=0", "d_blockage_m=-5", "n_scatterers=-1",
+    "scatterer_height_max_m=-1", "alpha_loss=-1", "r_max_bps=0"])
 def test_cli_bad_override_is_config_error(tmp_path, capsys, override):
     cfg_path = _write_cfg(tmp_path)
     assert main(["simulate", "--config", cfg_path, "--out",
