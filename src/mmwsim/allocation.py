@@ -137,14 +137,9 @@ def gnb_precoder_state(inputs: AllocationInputs, gnb: int, ues: list,
                             w_combined=w, p_per_ue=inputs.cfg.p_max_w / len(ues))
 
 
-# relative slack on the IABA scan's and the oracle's bounds: a unit-norm
-# column is unit-norm, and a sum of powers or rates is order-independent,
-# only to a few ulps
+# relative slack on the oracle's bounds: a unit-norm column is unit-norm,
+# and a sum of powers or rates is order-independent, only to a few ulps
 _BOUND_MARGIN = 1e-9
-# a candidate beam whose residual against its gNB's member beams has a
-# squared norm below this (codebook beams have unit norm) is treated as
-# lying in their span, and gets no span bound
-_SPAN_RESIDUAL_MIN = 1e-12
 # the ZF screen keeps a bound only where cond_F(H) = ||H||_F ||H^-1||_F, an
 # upper bound on cond_2, is at most this: the full build inverts the Gram
 # matrix H H^H, so its relative error there is about cond^2 eps ~ 2e-8
@@ -160,11 +155,10 @@ class _Engine:
     computed without touching the state (``_gnb_powers``,
     ``_inter_caused``, ``_inter_seen``); ``_apply`` is the only writer of a
     gNB's precoder and of the powers it contributes, so a tentative add
-    leaves nothing to roll back.  The memos (``inter_vec`` and
-    ``_member_basis``, an orthonormal basis of each gNB's member beams)
-    hold only until a gNB's precoder changes: ``_apply`` clears its
-    entries.  ``_book_gram`` is B^H B for the gNB codebook B, which
-    ``zf_bounds`` reads.
+    leaves nothing to roll back.  The ``inter_vec`` memo holds only until
+    a gNB's precoder changes: ``_apply`` clears its entries.
+    ``_book_gram`` is B^H B for the gNB codebook B, which ``zf_bounds``
+    reads.
     """
 
     def __init__(self, inputs: AllocationInputs, use_dbf: bool):
@@ -184,13 +178,9 @@ class _Engine:
         self.inter: dict[int, dict[int, float]] = {}
         # gnb -> ue -> inter_vec; _apply clears a gNB's entries
         self._inter_memo: dict = {g: {} for g in range(inputs.n_gnbs)}
-        # gnb -> orthonormal basis of its members' serving beams; _apply
-        # clears a gNB's entry
-        self._basis: dict = {}
         # B has one block per panel, the same on every panel
         weights = inputs.gnb_book.weights
         self._book_gram = np.kron(np.eye(N_SEC), weights.conj().T @ weights)
-        self._bound_memo: dict = {}
         self._panel_of = inputs.gnb_book.panel.tolist()   # gNB beam -> panel
         # (gnb, panel) -> number of UEs served on it; commit and _drop keep
         # it current
@@ -258,20 +248,6 @@ class _Engine:
                 state.w_combined).sum(axis=1)
         return vec
 
-    def snr_bound(self, ue: int, gnb: int, ue_beam: int) -> float:
-        """P_max * |w_c^H H|^2 / noise for this (UE beam, gNB) pair.
-
-        ``candidate_bounds`` applies the power share p_per_ue / P_max and
-        the interference to turn it into an SINR bound.
-        """
-        key = (ue, gnb, ue_beam)
-        val = self._bound_memo.get(key)
-        if val is None:
-            row = self.inputs.true_rows[(ue, gnb)][ue_beam]
-            val = self.p_max * float(np.real(np.vdot(row, row))) / self.noise
-            self._bound_memo[key] = val
-        return val
-
     def _inter_bounds(self, ue: int, bpls: list) -> list:
         """Interference the other active gNBs cause each candidate's UE
         beam: exact already, as their precoders do not change on a
@@ -290,67 +266,22 @@ class _Engine:
             out.append(inter)
         return out
 
-    def candidate_bounds(self, ue: int, bpls: list) -> list:
-        """Upper bound on each candidate's own linear SINR if added now.
+    def candidate_bounds(self, ue: int, bpls: list, inters: list) -> list:
+        """Upper bound on each candidate's own linear SINR if added now;
+        ``inters`` are their ``_inter_bounds``.
 
         On a gNB already serving n UEs the candidate gets P_max/(n+1) on a
         unit-norm column, so its signal power is at most
-        P_max/(n+1) ||w_c^H H||^2 over noise plus ``_inter_bounds``.
+        P_max/(n+1) ||w_c^H H||^2 over noise plus its inter-cell power.
         """
         bounds = []
-        for b, inter in zip(bpls, self._inter_bounds(ue, bpls)):
+        for b, inter in zip(bpls, inters):
+            rows = self.inputs.true_rows[(ue, b.gnb)]
+            gain = float(rows.gain[rows.index[b.ue_beam]])
+            snr = self.p_max * gain / self.noise
             share = len(self.per_gnb[b.gnb]) + 1
-            bounds.append(self.snr_bound(ue, b.gnb, b.ue_beam) / share
-                          * self.noise / (self.noise + inter))
+            bounds.append(snr / share * self.noise / (self.noise + inter))
         return bounds
-
-    def _member_basis(self, g: int) -> np.ndarray:
-        """Orthonormal columns spanning (at least) the serving beams of gNB
-        ``g``'s members; (4 n_t, 0) when it serves nobody (memoized until
-        its precoder changes)."""
-        q = self._basis.get(g)
-        if q is None:
-            beams = [self.serving[u].gnb_beam for u in self.per_gnb[g]]
-            q = self._basis[g] = np.linalg.qr(
-                self.inputs.gnb_book.matrix[:, beams])[0]
-        return q
-
-    def span_bounds(self, ue: int, g: int, bpls: list, inters: list) -> list:
-        """Upper bound on the own linear SINR of each of ``ue``'s candidates
-        on gNB ``g`` if added now, whatever the ZF gives; inf where there
-        is none.  ``inters`` are their ``_inter_bounds``.
-
-        The candidate's column of ``compose(w_rf, w_bb)`` has unit norm and
-        lies in the span of W_rf, its gNB's member beams and its own.  So
-        with P the projection on that span, its signal power is at most
-        P_max/(n+1) ||P r||^2 for its true row r, over noise plus its
-        inter-cell bound: intra-cell power is never negative.  P is built
-        from ``_member_basis`` and each candidate beam's residual against
-        it, in one batch.  A beam that is a member's adds nothing; any
-        other beam whose residual is below ``_SPAN_RESIDUAL_MIN`` gets no
-        bound.
-        """
-        rows = self.inputs.true_rows[(ue, g)]
-        r = rows.matrix[[rows.index[b.ue_beam] for b in bpls]]
-        beams = self.inputs.gnb_book.matrix[:, [b.gnb_beam for b in bpls]]
-        q = self._member_basis(g)
-        in_span = column_powers(r, q).sum(axis=1)
-        resid = beams - q @ (q.conj().T @ beams)
-        resid_sq = (resid.real ** 2 + resid.imag ** 2).sum(axis=0)
-        along = np.einsum("ij,ji->i", r, resid)
-        along = along.real ** 2 + along.imag ** 2
-        members = {self.serving[u].gnb_beam for u in self.per_gnb[g]}
-        scale = self.p_max / (len(self.per_gnb[g]) + 1)
-        out = []
-        for j, b in enumerate(bpls):
-            gain = float(in_span[j])
-            if b.gnb_beam not in members:
-                if resid_sq[j] < _SPAN_RESIDUAL_MIN:
-                    out.append(math.inf)
-                    continue
-                gain += float(along[j] / resid_sq[j])
-            out.append(scale * gain / (self.noise + inters[j]))
-        return out
 
     def zf_bounds(self, ue: int, g: int, bpls: list, inters: list) -> list:
         """Upper bound on the own linear SINR ``try_candidate`` would give
@@ -366,22 +297,26 @@ class _Engine:
         row times W_rf v, over noise plus the inter-cell bound: intra-cell
         power is never negative.  One product over the members' and the k
         candidates' rows and beams and one batched inverse serve all
-        candidates.  A gNB with no members gets no bound (the span bound is
-        exact there), nor does one whose members repeat a serving beam, a
-        candidate on a member's beam (H is singular), a singular stack, or
-        an H with cond_F = ||H||_F ||H^-1||_F above ``_ZF_COND_MAX``.
+        candidates.  On a gNB with no members, v = 1/H cancels and the bound
+        is the lone UE's own SINR, P_max |r b|^2 / ||b||^2 over noise plus
+        the inter-cell power, so E is read as the true rows there and no
+        estimated pair is built.  There is no bound where the members repeat
+        a serving beam, for a candidate on a member's beam (H is singular),
+        for a singular stack, or for an H with cond_F = ||H||_F ||H^-1||_F
+        above ``_ZF_COND_MAX``.
         """
         out = np.full(len(bpls), math.inf)
         members = self.per_gnb[g]
         n = len(members)
         beams = [self.serving[u].gnb_beam for u in members]
-        if not n or len(set(beams)) < n:
+        if len(set(beams)) < n:
             return out.tolist()
         keep = [j for j, b in enumerate(bpls) if b.gnb_beam not in beams]
         if not keep:
             return out.tolist()
         cands = [bpls[j] for j in keep]
-        est, pair = self.inputs.est_rows, self.inputs.est_rows[(ue, g)]
+        est = self.inputs.est_rows if n else self.inputs.true_rows
+        pair = est[(ue, g)]
         rows = np.array([est[(u, g)][self.serving[u].ue_beam] for u in members]
                         + [pair[b.ue_beam] for b in cands])
         sel = np.array(beams + [b.gnb_beam for b in cands])
@@ -466,7 +401,6 @@ class _Engine:
         UEs of the other gNBs."""
         self.states[g] = state
         self._inter_memo[g] = {}
-        self._basis.pop(g, None)
         for u, (s, i) in powers.items():
             self.sig[u] = s
             self.intra[u] = i
@@ -600,20 +534,16 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
     The scan runs in descending order of ``candidate_bounds`` and stops at
     the first candidate whose bound cannot reach the threshold or beat the
     incumbent.  It skips, without building a precoder, a candidate whose
-    ``span_bounds`` (its row projected on the span of its gNB's RF beams,
-    which holds whatever the ZF gives) cannot either; skipped candidates
-    would be rejected, so the scan commits what the full scan commits.
-    The span bounds of a gNB's candidates are computed together, when the
-    scan first reaches one of them.
-
-    A candidate that passes the span bound is then screened by its
-    ``zf_bounds``: the own SINR of the ZF the full build would solve, from
-    one (n+1)x(n+1) beam-space system per candidate instead of a 4 n_t-row
-    build.  That bound is used only where the system's condition number is
-    certified small (``_ZF_COND_MAX``), with the slack ``_ZF_MARGIN``;
-    elsewhere the candidate gets the full try.  A gNB's ZF bounds are
-    computed together, when the scan is first about to try one of its
-    candidates, for those its other bounds do not already rule out.
+    ``zf_bounds`` cannot either: the own SINR of the ZF the full build
+    would solve, from one (n+1)x(n+1) beam-space system per candidate
+    instead of a 4 n_t-row build, exact on a gNB with no members.  That
+    bound is used only where the system's condition number is certified
+    small (``_ZF_COND_MAX``), with the slack ``_ZF_MARGIN``; elsewhere the
+    candidate gets the full try.  Skipped candidates would be rejected, so
+    the scan commits what the full scan commits.  A gNB's ZF bounds are
+    computed together, when the scan first reaches one of its candidates,
+    for those whose ``candidate_bounds`` do not already rule them out.
+    Each candidate's inter-cell interference is computed once per scan.
     """
     if mode not in (AllocMode.DIABA, AllocMode.CIABA):
         raise ValueError(f"allocate_iaba expects an IABA mode, got {mode}")
@@ -624,45 +554,34 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
         cands = build_candidates(inputs, ue, mode)
         best = None                      # (bpl, (precoder, powers))
         best_sinr = -math.inf
-        # Scanning in descending bound order lets the loop stop as soon as
-        # no remaining candidate can beat the incumbent or the threshold.
-        bpls = [b for b in cands.bpls if engine.capacity_ok(b)]
-        bounds = engine.candidate_bounds(ue, bpls)
-        inters: dict = {}                # candidate index -> _inter_bounds
-        spans: dict = {}                 # candidate index -> span bound
-        zfs: dict = {}                   # candidate index -> ZF bound
-        screened: set = set()            # gNBs whose ZF bounds are in zfs
 
-        def loses(j: int) -> bool:
-            """Whether candidate ``j``'s bounds rule it out at ``best_sinr``;
+        def loses(bound: float) -> bool:
+            """Whether ``bound`` rules its candidate out at ``best_sinr``;
             true again at any later, higher ``best_sinr``."""
-            return any(x < engine.sinr_min_lin or x <= best_sinr for x in (
-                bounds[j], spans[j] * (1.0 + _BOUND_MARGIN),
-                zfs.get(j, math.inf) * (1.0 + _ZF_MARGIN)))
+            return bound < engine.sinr_min_lin or bound <= best_sinr
 
+        bpls = [b for b in cands.bpls if engine.capacity_ok(b)]
+        inters = engine._inter_bounds(ue, bpls)
+        bounds = engine.candidate_bounds(ue, bpls, inters)
+        zfs: dict = {}                   # candidate index -> ZF bound
         on_gnb: dict = {}                # gNB -> its candidates' indices
         for j, b in enumerate(bpls):
             on_gnb.setdefault(b.gnb, []).append(j)
-        order = sorted(range(len(bpls)), key=lambda i: -bounds[i])
-        for i in order:
-            bpl, bound = bpls[i], bounds[i]
-            if bound < engine.sinr_min_lin or bound <= best_sinr:
+        # Scanning in descending bound order lets the loop stop as soon as
+        # no remaining candidate can beat the incumbent or the threshold.
+        for i in sorted(range(len(bpls)), key=lambda i: -bounds[i]):
+            bpl = bpls[i]
+            if loses(bounds[i]):
                 break
-            g = bpl.gnb
-            if i not in spans:
-                near = [bpls[j] for j in on_gnb[g]]
-                inters.update(zip(on_gnb[g], engine._inter_bounds(ue, near)))
-                spans.update(zip(on_gnb[g], engine.span_bounds(
-                    ue, g, near, [inters[j] for j in on_gnb[g]])))
-            if g not in screened and not loses(i):
-                # only where the scan is about to try g, for the candidates
-                # the bounds above do not already rule out
-                screened.add(g)
-                live = [j for j in on_gnb[g] if not loses(j)]
+            if i not in zfs:
+                # the scan first reaches this gNB; its candidates left out
+                # here lose already, so the scan stops before them
+                live = [j for j in on_gnb[bpl.gnb] if not loses(bounds[j])]
                 zfs.update(zip(live, engine.zf_bounds(
-                    ue, g, [bpls[j] for j in live], [inters[j] for j in live])))
+                    ue, bpl.gnb, [bpls[j] for j in live],
+                    [inters[j] for j in live])))
             # skip, not stop: the order and its tie rule stay the same
-            if loses(i):
+            if loses(zfs[i] * (1.0 + _ZF_MARGIN)):
                 continue
             tried = engine.try_candidate(bpl, check_network_wide=network_wide,
                                          floor=best_sinr)
@@ -788,8 +707,9 @@ class _OracleScorer:
         tests see s with the margin; ``_total_bound`` inflates the sum.
         """
         cfg = self.inputs.cfg
-        r = self.inputs.true_rows[(bpl.ue, bpl.gnb)][bpl.ue_beam]
-        snr = cfg.p_max_w * float(np.real(np.vdot(r, r))) / self.noise
+        rows = self.inputs.true_rows[(bpl.ue, bpl.gnb)]
+        gain = float(rows.gain[rows.index[bpl.ue_beam]])
+        snr = cfg.p_max_w * gain / self.noise
         shannon = cfg.alpha_loss * cfg.bandwidth_hz
         s_max = 10 ** (cfg.sinr_max_db / 10.0)
         peak = max(cfg.r_max_bps, shannon * math.log2(1.0 + s_max))

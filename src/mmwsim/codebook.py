@@ -9,8 +9,7 @@ import numpy as np
 
 from .channel import D_OVER_LAMBDA, panel_grid, ura_steering
 from .errors import ConfigurationError
-
-N_SEC = 4
+from .scenario import N_SEC
 
 
 @dataclass(frozen=True)

@@ -22,21 +22,19 @@ class BeamRows:
     ``matrix`` stacks the kept rows, (n_kept, 4 n_t) complex, all zeros
     when the pair has no paths; ``index`` maps a kept UE beam to its row
     and is shared by every pair of the UE.  ``rows[beam]`` is that beam's
-    row; reading a beam that was not kept raises KeyError.
+    row; reading a beam that was not kept raises KeyError.  ``gain`` holds
+    each kept row's squared norm, with the bits of ``np.vdot(row, row)``.
     """
 
-    __slots__ = ("matrix", "index")
+    __slots__ = ("matrix", "index", "gain")
 
     def __init__(self, matrix: np.ndarray, index: dict):
         self.matrix = matrix
         self.index = index
+        self.gain = np.array([np.vdot(r, r).real for r in matrix])
 
     def __getitem__(self, beam: int) -> np.ndarray:
         return self.matrix[self.index[beam]]
-
-
-# (ue, gnb) -> BeamRows of R = W_ue^H H_{ue,gnb}
-Rows = dict
 
 
 @dataclass
@@ -77,7 +75,7 @@ def throughput(sinr_db: float, cfg: NetworkConfig) -> float:
     return cfg.alpha_loss * cfg.bandwidth_hz * math.log2(1.0 + sinr)
 
 
-def evaluate_allocation(serving: dict, states: dict, rows: Rows) -> dict:
+def evaluate_allocation(serving: dict, states: dict, rows: dict) -> dict:
     """Signal and interference powers of every allocated UE.
 
     Returns ue -> (rss_w, i_intra_w, i_inter_w).  The per-gNB kernel matches
@@ -138,7 +136,7 @@ def dropped_report(ue: int, noise_w: float) -> LinkReport:
         rate_bps=0.0, alloc_rank=0, is_los=False, is_handover=False)
 
 
-def network_report(serving: dict, states: dict, rows: Rows,
+def network_report(serving: dict, states: dict, rows: dict,
                    cfg: NetworkConfig, n_ues: int,
                    initial_gnbs: dict) -> tuple[list[LinkReport], dict]:
     """Per-UE LinkReports plus an aggregate summary for one allocation."""

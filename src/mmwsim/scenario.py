@@ -17,9 +17,10 @@ import yaml
 from .errors import ConfigurationError
 
 INF = math.inf
+N_SEC = 4                            # sector panels per node
 
 # Fields that accept the infinity sentinel ("inf" in config files).
-_INF_FIELDS = {"n_q_csi_bits", "n_csi_rs"}
+_INF_FIELDS = ("n_q_csi_bits", "n_csi_rs")
 _BORESIGHT_OFFSETS = np.array([0.0, 90.0, 180.0, 270.0])
 
 
@@ -38,9 +39,7 @@ class NetworkConfig:
     noise_dbm: float = -78.0
     n_t: int = 256                   # elements per gNB sector panel
     n_r: int = 16                    # elements per UE sector panel
-    n_sec: int = 4                   # sector panels per node (fixed)
     n_rf_gnb_sec: int = 4            # RF chains per gNB panel
-    n_rf_ue: int = 1
     n_q_sweep_bits: int = 4          # sweep codebook size (2^n beams per panel)
     n_q_csi_bits: float = INF        # estimation codebook size; inf = exact CSI
     n_csi_rs: float = INF            # monitored-BPL cap; inf = unlimited
@@ -87,7 +86,7 @@ class NetworkConfig:
 
     @property
     def n_rf_gnb(self) -> int:
-        return self.n_sec * self.n_rf_gnb_sec
+        return N_SEC * self.n_rf_gnb_sec
 
     @property
     def wavelength_m(self) -> float:
@@ -102,8 +101,6 @@ class NetworkConfig:
                     math.isfinite(value)
                     or (value == INF and f.name in _INF_FIELDS)):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
-        if self.n_sec != 4:
-            raise ConfigurationError("n_sec is fixed to 4 sector panels")
         if self.area_side_m <= 0:
             raise ConfigurationError("area_side_m must be positive")
         if self.gnb_density <= 0:
@@ -112,7 +109,7 @@ class NetworkConfig:
             raise ConfigurationError("area_side_m and gnb_density place no gNB")
         if self.ue_density < 0:
             raise ConfigurationError("ue_density must be non-negative")
-        for name in ("n_t", "n_r", "n_rf_gnb_sec", "n_rf_ue", "n_q_sweep_bits",
+        for name in ("n_t", "n_r", "n_rf_gnb_sec", "n_q_sweep_bits",
                      "n_realizations"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
@@ -141,11 +138,13 @@ class NetworkConfig:
             raise ConfigurationError("hotspot_radius_m must be positive")
         if self.cluster_spread_deg < 0:
             raise ConfigurationError("cluster_spread_deg must be non-negative")
-        if math.isfinite(self.n_q_csi_bits) and self.n_q_csi_bits < 1:
-            raise ConfigurationError("n_q_csi_bits must be >= 1 or inf")
-        if math.isfinite(self.n_csi_rs) and self.n_csi_rs < 1:
-            raise ConfigurationError("n_csi_rs must be >= 1 or inf")
-        if self.enforce_nr_ssb_cap and self.n_sec * 2 ** self.n_q_sweep_bits > 64:
+        for name in _INF_FIELDS:
+            value = getattr(self, name)
+            if math.isfinite(value) and not (
+                    value >= 1 and float(value).is_integer()):
+                raise ConfigurationError(f"{name} must be an integer >= 1 "
+                                         f"or inf, got {value}")
+        if self.enforce_nr_ssb_cap and N_SEC * 2 ** self.n_q_sweep_bits > 64:
             raise ConfigurationError(
                 "gNB sweep codebook exceeds the 64-SSB FR2 cap "
                 "(set enforce_nr_ssb_cap=false to lift)")

@@ -1018,8 +1018,8 @@ def test_iaba_bound_holds_and_prunes(monkeypatch):
     candidate_bounds = allocation._Engine.candidate_bounds
     try_candidate = allocation._Engine.try_candidate
 
-    def recorded(self, ue, bpls):
-        out = candidate_bounds(self, ue, bpls)
+    def recorded(self, ue, bpls, inters):
+        out = candidate_bounds(self, ue, bpls, inters)
         bounds.update(zip(bpls, out))
         return out
 
@@ -1047,23 +1047,19 @@ def test_iaba_bound_holds_and_prunes(monkeypatch):
 @pytest.mark.parametrize("csi", [{}, QUANTIZED_CSI], ids=["exact", "6-bit"])
 def test_span_bound_skips_only_losers(monkeypatch, csi):
     # beside each UE's scan, on the same engine state, run the scan without
-    # the span-bound and ZF-screen skips: every candidate either skips is
-    # one the unchanged try_candidate rejects at the same floor, every own
-    # SINR is within both bounds, and its other tries are the scan's own
+    # the ZF-screen skips: every candidate the screen skips is one the
+    # unchanged try_candidate rejects at the same floor, every own SINR is
+    # within its certified bound, and the other tries are the scan's own
     inputs = _desk_inputs(**csi)
     candidate_bounds = allocation._Engine.candidate_bounds
     try_candidate = allocation._Engine.try_candidate
-    margin = 1.0 + allocation._BOUND_MARGIN
     zf_margin = 1.0 + allocation._ZF_MARGIN
-    expected, tried, skipped, screened, certified = [], [], [], [], []
+    expected, tried, certified = [], [], []
+    screened = {True: [], False: []}      # on an empty gNB -> skipped
 
-    def unskipped_scan(self, ue, bpls):
-        bounds = candidate_bounds(self, ue, bpls)
-        spans, zfs = {}, {}
-        for g in {b.gnb for b in bpls}:
-            on_gnb = [b for b in bpls if b.gnb == g]
-            spans.update(zip(on_gnb, self.span_bounds(
-                ue, g, on_gnb, self._inter_bounds(ue, on_gnb))))
+    def unskipped_scan(self, ue, bpls, inters):
+        bounds = candidate_bounds(self, ue, bpls, inters)
+        zfs = {}
         thresh, floor = self.sinr_min_lin, -math.inf
 
         def loses(x):
@@ -1074,19 +1070,14 @@ def test_span_bound_skips_only_losers(monkeypatch, csi):
             if loses(bounds[i]):
                 break
             out = try_candidate(self, bpl, network_wide, floor)
-            if out is not None:
-                assert out[0] <= spans[bpl] * margin
-            if loses(spans[bpl] * margin):
-                assert out is None
-                skipped.append(bpl)
-                continue
             if bpl not in zfs:
-                # the scan's batch: the gNB's candidates that its other
+                # the scan's batch: the gNB's candidates that candidate
                 # bounds do not rule out at this floor
-                live = [b for j, b in enumerate(bpls) if b.gnb == bpl.gnb
-                        and not loses(bounds[j]) and not loses(spans[b] * margin)]
-                zfs.update(zip(live, self.zf_bounds(
-                    ue, bpl.gnb, live, self._inter_bounds(ue, live))))
+                live = [j for j, b in enumerate(bpls)
+                        if b.gnb == bpl.gnb and not loses(bounds[j])]
+                zfs.update(zip([bpls[j] for j in live], self.zf_bounds(
+                    ue, bpl.gnb, [bpls[j] for j in live],
+                    [inters[j] for j in live])))
             if math.isfinite(zfs[bpl]):
                 own = own_sinr(self, bpl)
                 if own is not None:
@@ -1094,7 +1085,7 @@ def test_span_bound_skips_only_losers(monkeypatch, csi):
                     certified.append(own)
             if loses(zfs[bpl] * zf_margin):
                 assert out is None
-                screened.append(bpl)
+                screened[not self.per_gnb[bpl.gnb]].append(bpl)
                 continue
             expected.append((bpl, floor))
             if out is not None:
@@ -1109,11 +1100,11 @@ def test_span_bound_skips_only_losers(monkeypatch, csi):
     monkeypatch.setattr(allocation._Engine, "try_candidate", watched)
     for mode in (AllocMode.DIABA, AllocMode.CIABA):
         network_wide = mode is AllocMode.CIABA
-        for log in (expected, tried, skipped, screened, certified):
+        for log in (expected, tried, certified, *screened.values()):
             del log[:]
         allocate_iaba(inputs, mode)
         assert tried == expected
-        assert skipped and screened and certified
+        assert screened[True] and screened[False] and certified
 
 
 def _plain_state(engine):

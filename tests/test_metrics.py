@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ORIENT, full, make_inputs, path
+from conftest import ORIENT, full, make_inputs, path, small_instance
 from mmwsim.allocation import AllocMode, allocate
 from mmwsim.beamsweep import BeamPairLink
 from mmwsim.channel import Paths, assemble_channel
 from mmwsim.codebook import default_full_codebook
-from mmwsim.metrics import (column_powers, dropped_report, evaluate_allocation,
-                            link_report, network_report, summarize,
-                            throughput)
+from mmwsim.metrics import (BeamRows, column_powers, dropped_report,
+                            evaluate_allocation, link_report, network_report,
+                            summarize, throughput)
 from mmwsim.precoder import GnbPrecoderState
 from mmwsim.scenario import NetworkConfig
 
@@ -145,6 +145,19 @@ def test_evaluate_allocation_matches_reference_ops():
     assert ie == pytest.approx(
         inter_interference(w_c, {0: ch_01, 1: ch_11}, alloc.states,
                            serving_gnb=1), rel=1e-12)
+
+
+def test_beam_rows_gain_is_vdot_bit_for_bit():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+    pairs = [BeamRows(1e-4 * m, {}), BeamRows(np.zeros((2, 8), complex), {})]
+    for seed in range(3):
+        pairs += small_instance(seed).true_rows.values()
+    for rows in pairs:
+        assert rows.gain.shape == (len(rows.matrix),)
+        for gain, row in zip(rows.gain, rows.matrix):
+            vdot = np.float64(np.vdot(row, row).real)
+            assert gain.tobytes() == vdot.tobytes()
 
 
 def test_sinr_bounded_by_snr():

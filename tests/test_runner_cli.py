@@ -190,7 +190,9 @@ def test_cli_bad_config_file_is_config_error(tmp_path):
     "n_csi_rs=-inf", "area_side_m=.inf", "seed=-1", "area_side_m=10",
     # a traceback from numpy or a division, or a run with no meaning
     "d_blockage_m=0", "d_blockage_m=-5", "n_scatterers=-1",
-    "scatterer_height_max_m=-1", "alpha_loss=-1", "r_max_bps=0"])
+    "scatterer_height_max_m=-1", "alpha_loss=-1", "r_max_bps=0",
+    # the CSI-RS count and the estimation codebook size are whole numbers
+    "n_csi_rs=2.5", "n_q_csi_bits=2.5"])
 def test_cli_bad_override_is_config_error(tmp_path, capsys, override):
     cfg_path = _write_cfg(tmp_path)
     assert main(["simulate", "--config", cfg_path, "--out",

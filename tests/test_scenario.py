@@ -85,8 +85,10 @@ def test_ssb_cap_enforced():
 
 
 def test_validate_rejects_bad_values():
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(n_sec=3).validate()
+    # n_sec (four panels, fixed) and n_rf_ue (never read) are no keys
+    for key in ("n_sec", "n_rf_ue"):
+        with pytest.raises(ConfigurationError, match="unknown"):
+            config_from_mapping({key: 4 if key == "n_sec" else 1})
     with pytest.raises(ConfigurationError):
         NetworkConfig(sinr_min_db=21.0).validate()
     with pytest.raises(ConfigurationError):

@@ -1,6 +1,7 @@
 """Property tests of the IABA scan's ZF screen (``_Engine.zf_bounds``) on
-constructed single-gNB engines: n members, each on its own serving beam,
-and one UE with a few candidate beams, on random rows."""
+constructed single-gNB engines: n members (none, for an empty gNB), each on
+its own serving beam, and one UE with a few candidate beams, on random
+rows."""
 
 import math
 
@@ -86,11 +87,25 @@ def _cond_f(engine, cand):
 
 
 @SETTINGS
-@given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+@given(n=st.integers(0, 16), seed=st.integers(0, 2 ** 32 - 1),
        quantized=st.booleans())
 def test_zf_bound_is_sound(n, seed, quantized):
     engine, cands = _engine(n, *_case(seed, n, quantized))
     _assert_sound(engine, cands, _zf_bounds(engine, cands))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), quantized=st.booleans())
+def test_zf_bound_is_exact_on_empty_gnb(seed, quantized):
+    # the lone UE's precoder column is its beam, whatever its estimated
+    # row: the bound is its own SINR, and no estimated pair is read
+    engine, cands = _engine(0, *_case(seed, 0, quantized))
+    est_rows, engine.inputs.est_rows = engine.inputs.est_rows, {}
+    bounds = _zf_bounds(engine, cands)
+    engine.inputs.est_rows = est_rows
+    for bpl, bound in zip(cands, bounds):
+        assert math.isfinite(bound)
+        assert abs(own_sinr(engine, bpl) / bound - 1.0) <= 1e-9
 
 
 @SETTINGS
@@ -135,7 +150,7 @@ def test_zf_bound_none_on_nearly_parallel_rows(n, seed, quantized, on_member):
 
 
 @SETTINGS
-@given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+@given(n=st.integers(0, 16), seed=st.integers(0, 2 ** 32 - 1),
        which=st.sampled_from(["member-est", "candidate-est",
                               "candidate-true"]))
 def test_zf_bound_sound_on_zero_row(n, seed, which):
