@@ -867,18 +867,17 @@ class _OracleScorer:
         return total
 
 
-CBF_SLOT_DRAWS = 10
-
-
-def allocate_cbf_tdma(inputs: AllocationInputs,
-                      rng: np.random.Generator) -> tuple[Allocation, list]:
+def allocate_cbf_tdma(inputs: AllocationInputs) -> tuple[Allocation, list]:
     """CBF SU-MIMO TDMA reference: strongest BPL, full power, time sharing.
 
-    Per-UE SINR averages interference over random co-slotted UEs on the
-    other gNBs; throughput is divided by the serving gNB's UE count.  UEs
-    whose expected SINR falls below the coverage threshold are dropped.
-    Returns the allocation together with its per-UE link reports (the TDMA
-    interference model is specific to this mode).
+    Each gNB serves its n_g UEs one per slot at the full power p_max, so a
+    UE's signal is p_max |r b|^2, with no intra-cell interference, and its
+    rate is 1/n_g of the throughput.  Under uniformly random slot alignment
+    gNB g puts on a UE's row the mean power of its n_g beams: exactly the
+    interference of a precoder whose columns are those beams at p_max / n_g
+    each.  UEs whose expected SINR falls below the coverage threshold are
+    dropped and the rest evaluated again, until none is.  Returns the
+    allocation, without precoder states, and its per-UE link reports.
     """
     cfg = inputs.cfg
     initial = _initial_gnbs(inputs.sweeps)
@@ -890,65 +889,38 @@ def allocate_cbf_tdma(inputs: AllocationInputs,
             per_gnb[best.gnb].append(ue)
 
     while True:
-        reports_by_ue = _cbf_evaluate(serving, per_gnb, inputs, initial, rng)
-        viol = [u for u, r in reports_by_ue.items()
-                if r.sinr_db < cfg.sinr_min_db]
+        averaged = {g: GnbPrecoderState(
+            gnb=g, served=ues, w_rf=None, w_bb=None, w_combined=(
+                inputs.gnb_book.matrix[:, [serving[u].gnb_beam for u in ues]]),
+            p_per_ue=cfg.p_max_w / len(ues))
+            for g, ues in per_gnb.items() if ues}
+        expected = metrics.evaluate_allocation(serving, averaged,
+                                               inputs.true_rows)
+        reports = {}
+        for ue, bpl in serving.items():
+            # the averaged state gives the own beam p_max / n_g, its slot p_max
+            n_g = len(per_gnb[bpl.gnb])
+            sig, _, inter = expected[ue]
+            reports[ue] = metrics.link_report(
+                ue, bpl, (sig * n_g, 0.0, inter), cfg.noise_w, cfg,
+                initial.get(ue, -1), time_share=n_g)
+        viol = [u for u, r in reports.items() if r.sinr_db < cfg.sinr_min_db]
         if not viol:
             break
         for u in viol:
-            bpl = serving.pop(u)
-            per_gnb[bpl.gnb].remove(u)
+            per_gnb[serving.pop(u).gnb].remove(u)
 
-    reports = []
-    for ue in range(inputs.n_ues):
-        if ue in serving:
-            reports.append(reports_by_ue[ue])
-        else:
-            reports.append(metrics.dropped_report(ue, cfg.noise_w))
     alloc = Allocation(serving=serving,
                        per_gnb={g: l for g, l in per_gnb.items() if l},
                        mode=AllocMode.CBF_TDMA, states={},
                        initial_gnbs=initial)
-    return alloc, reports
-
-
-def _cbf_evaluate(serving: dict, per_gnb: dict, inputs: AllocationInputs,
-                  initial: dict, rng: np.random.Generator) -> dict:
-    """Expected-SINR link reports under random TDMA slot alignment."""
-    cfg = inputs.cfg
-    book = inputs.gnb_book
-    # one co-slotted transmit beam per (gNB, slot draw)
-    slot_beam: dict[int, list[np.ndarray]] = {}
-    for g, ues in per_gnb.items():
-        if not ues:
-            continue
-        picks = rng.integers(0, len(ues), size=CBF_SLOT_DRAWS)
-        slot_beam[g] = [book.matrix[:, serving[ues[k]].gnb_beam]
-                        for k in picks]
-    out = {}
-    for ue, bpl in sorted(serving.items()):
-        w = book.matrix[:, bpl.gnb_beam]
-        row = inputs.true_rows[(ue, bpl.gnb)][bpl.ue_beam]
-        sig = float(cfg.p_max_w *
-                    column_powers(row[None, :], w[:, None])[0, 0])
-        inter = 0.0
-        for g, beams in slot_beam.items():
-            if g == bpl.gnb:
-                continue
-            row_g = inputs.true_rows[(ue, g)][bpl.ue_beam]
-            contrib = [float(cfg.p_max_w *
-                             column_powers(row_g[None, :], b[:, None])[0, 0])
-                       for b in beams]
-            inter += float(np.mean(contrib))
-        out[ue] = metrics.link_report(
-            ue, bpl, (sig, 0.0, inter), cfg.noise_w, cfg, initial.get(ue, -1),
-            time_share=len(per_gnb[bpl.gnb]))
-    return out
+    return alloc, [reports.get(ue) or metrics.dropped_report(ue, cfg.noise_w)
+                   for ue in range(inputs.n_ues)]
 
 
 def allocate(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
-    """Run one allocation mode other than CBF TDMA, which needs the
-    campaign's slot-draw generator (``allocate_cbf_tdma``)."""
+    """Run one allocation mode other than CBF TDMA, whose time-shared link
+    reports come from its own allocator (``allocate_cbf_tdma``)."""
     if mode is AllocMode.FIVEG_NR:
         return allocate_5gnr(inputs)
     if mode is AllocMode.DBF_5GNR:

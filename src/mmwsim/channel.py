@@ -7,6 +7,7 @@ trace file; both feed the same blockwise channel assembly.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -220,65 +221,67 @@ def ingest_paths(trace_file: str, n_gnbs: Optional[int] = None,
                  n_ues: Optional[int] = None) -> dict:
     """Load a path trace: map (gnb, ue) -> Paths.
 
-    Expects delimited text with a header row naming the columns of
-    ``_TRACE_COLUMNS``; angles in degrees.  A file that cannot be opened
-    is a ConfigurationError.
+    Expects UTF-8 delimited text, byte-order mark optional, with a header
+    row naming the columns of ``_TRACE_COLUMNS``; angles in degrees.  A
+    file that cannot be opened is a ConfigurationError.
     """
     rows: dict[tuple[int, int], list] = {}
     try:
-        fh = open(trace_file, newline="")
+        with open(trace_file, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8-sig")
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read trace file {trace_file}: {exc.strerror}") from exc
-    with fh:
-        sample = fh.read(4096)
-        fh.seek(0)
-        delimiter = ";" if ";" in sample.split("\n", 1)[0] else ","
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            return {}
-        header = [h.strip() for h in header]
-        if header != _TRACE_COLUMNS:
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"not UTF-8 text: {exc.reason}",
+                              line=data.count(b"\n", 0, exc.start) + 1) from exc
+    delimiter = ";" if ";" in text.split("\n", 1)[0] else ","
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    header = next(reader, None)
+    if header is None:
+        return {}
+    header = [h.strip() for h in header]
+    if header != _TRACE_COLUMNS:
+        raise TraceParseError(
+            f"expected header {_TRACE_COLUMNS}, got {header}", line=1)
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(_TRACE_COLUMNS):
             raise TraceParseError(
-                f"expected header {_TRACE_COLUMNS}, got {header}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(_TRACE_COLUMNS):
-                raise TraceParseError(
-                    f"expected {len(_TRACE_COLUMNS)} fields, got {len(row)}",
-                    line=lineno)
-            try:
-                gnb = int(row[0])
-                ue = int(row[1])
-                gain = complex(float(row[2]), float(row[3]))
-                aod_az, aod_el = float(row[4]), float(row[5])
-                aoa_az, aoa_el = float(row[6]), float(row[7])
-                bounces = int(row[8])
-                length = float(row[9])
-            except ValueError as exc:
-                raise TraceParseError(str(exc), line=lineno) from exc
-            if not all(map(math.isfinite, (gain.real, gain.imag, length))):
-                raise TraceParseError("gain and length must be finite",
-                                      line=lineno)
-            if not 0 <= bounces <= 2:
-                raise TraceParseError(
-                    f"bounces must be in 0..2, got {bounces}", line=lineno)
-            if abs(gain) <= 0:
-                raise TraceParseError("path gain must be nonzero", line=lineno)
-            if not (-180.0 <= aod_az < 180.0 and -180.0 <= aoa_az < 180.0):
-                raise TraceParseError("azimuth out of [-180, 180)", line=lineno)
-            if not (-90.0 <= aod_el <= 90.0 and -90.0 <= aoa_el <= 90.0):
-                raise TraceParseError("elevation out of [-90, 90]", line=lineno)
-            if length <= 0:
-                raise TraceParseError("path length must be positive", line=lineno)
-            if n_gnbs is not None and not 0 <= gnb < n_gnbs:
-                raise TraceReferenceError(f"unknown gnb id {gnb} at line {lineno}")
-            if n_ues is not None and not 0 <= ue < n_ues:
-                raise TraceReferenceError(f"unknown ue id {ue} at line {lineno}")
-            rows.setdefault((gnb, ue), []).append(
-                (gain, aod_az, aod_el, aoa_az, aoa_el, bounces, length))
+                f"expected {len(_TRACE_COLUMNS)} fields, got {len(row)}",
+                line=lineno)
+        try:
+            gnb = int(row[0])
+            ue = int(row[1])
+            gain = complex(float(row[2]), float(row[3]))
+            aod_az, aod_el = float(row[4]), float(row[5])
+            aoa_az, aoa_el = float(row[6]), float(row[7])
+            bounces = int(row[8])
+            length = float(row[9])
+        except ValueError as exc:
+            raise TraceParseError(str(exc), line=lineno) from exc
+        if not all(map(math.isfinite, (gain.real, gain.imag, length))):
+            raise TraceParseError("gain and length must be finite",
+                                  line=lineno)
+        if not 0 <= bounces <= 2:
+            raise TraceParseError(
+                f"bounces must be in 0..2, got {bounces}", line=lineno)
+        if abs(gain) <= 0:
+            raise TraceParseError("path gain must be nonzero", line=lineno)
+        if not (-180.0 <= aod_az < 180.0 and -180.0 <= aoa_az < 180.0):
+            raise TraceParseError("azimuth out of [-180, 180)", line=lineno)
+        if not (-90.0 <= aod_el <= 90.0 and -90.0 <= aoa_el <= 90.0):
+            raise TraceParseError("elevation out of [-90, 90]", line=lineno)
+        if length <= 0:
+            raise TraceParseError("path length must be positive", line=lineno)
+        if n_gnbs is not None and not 0 <= gnb < n_gnbs:
+            raise TraceReferenceError(f"unknown gnb id {gnb} at line {lineno}")
+        if n_ues is not None and not 0 <= ue < n_ues:
+            raise TraceReferenceError(f"unknown ue id {ue} at line {lineno}")
+        rows.setdefault((gnb, ue), []).append(
+            (gain, aod_az, aod_el, aoa_az, aoa_el, bounces, length))
     return {key: Paths.from_rows(r) for key, r in rows.items()}
 
 

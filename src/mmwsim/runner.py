@@ -175,9 +175,7 @@ def run_realization(ctx: RealizationContext, mode: AllocMode,
                     cfg: NetworkConfig, realization: int) -> RealizationResult:
     """Allocate with one mode and evaluate the resulting link reports."""
     if mode is AllocMode.CBF_TDMA:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(2, realization)))
-        alloc, reports = allocate_cbf_tdma(ctx.inputs, rng)
+        alloc, reports = allocate_cbf_tdma(ctx.inputs)
         summary = summarize(reports, cfg)
     else:
         alloc = allocate(ctx.inputs, mode)

@@ -1263,8 +1263,7 @@ def test_cbf_tdma_time_share(tiny_cfg):
     pairs = {(0, u): [path(1e-5, [0.0, 90.0, 180.0, -90.0][u],
                            ((u * 91) % 360) - 180.0)] for u in range(4)}
     inputs = make_inputs(tiny_cfg, pairs, 1, 4)
-    rng = np.random.default_rng(0)
-    alloc, reports = allocate_cbf_tdma(inputs, rng)
+    alloc, reports = allocate_cbf_tdma(inputs)
     assert len(alloc.serving) == 4
     for r in reports:
         assert r.served
@@ -1275,8 +1274,7 @@ def test_cbf_tdma_time_share(tiny_cfg):
 
 def test_cbf_tdma_single_ue_full_rate(tiny_cfg):
     inputs = make_inputs(tiny_cfg, {(0, 0): [_strong(10.0, -170.0)]}, 1, 1)
-    rng = np.random.default_rng(0)
-    alloc, reports = allocate_cbf_tdma(inputs, rng)
+    alloc, reports = allocate_cbf_tdma(inputs)
     assert reports[0].rate_bps == pytest.approx(
         throughput(reports[0].sinr_db, tiny_cfg))
 
@@ -1290,9 +1288,46 @@ def test_cbf_beats_hbf_without_interference(tiny_cfg):
     h_reports, _ = network_report(hbf.serving, hbf.states,
                                   inputs.true_rows, tiny_cfg, 2,
                                   hbf.initial_gnbs)
-    _, c_reports = allocate_cbf_tdma(inputs, np.random.default_rng(0))
+    _, c_reports = allocate_cbf_tdma(inputs)
     for u in range(2):
         assert c_reports[u].sinr_db >= h_reports[u].sinr_db - 1e-9
+
+
+def test_cbf_tdma_expectation_over_every_slot_alignment(tiny_cfg):
+    # a UE's interference is the mean, over every alignment of the other
+    # gNBs' slots, of the power their slot holders put on its row; every
+    # ray is on panel 0 at both ends, so every gNB reaches every UE's row
+    rng = np.random.default_rng(5)
+    home = [0, 0, 0, 1, 1, 2, 2]
+    pairs = {(g, u): [path(1e-5 if g == h else 0.3e-5,
+                           float(rng.uniform(-40, 40)),
+                           float(rng.uniform(-40, 40)))]
+             for u, h in enumerate(home) for g in range(3)}
+    inputs = make_inputs(tiny_cfg, pairs, 3, len(home))
+    alloc, reports = allocate_cbf_tdma(inputs)
+    per_gnb = alloc.per_gnb
+    assert len(per_gnb) == 3
+    assert sum(len(ues) >= 2 for ues in per_gnb.values()) >= 2
+    book = inputs.gnb_book
+
+    def power(ue, g, holder):
+        row = inputs.true_rows[(ue, g)][alloc.serving[ue].ue_beam]
+        beam = book.matrix[:, alloc.serving[holder].gnb_beam]
+        return tiny_cfg.p_max_w * abs(row @ beam) ** 2
+
+    for ue, bpl in alloc.serving.items():
+        others = [g for g in sorted(per_gnb) if g != bpl.gnb]
+        draws = [sum(power(ue, g, j) for g, j in zip(others, holders))
+                 for holders in itertools.product(
+                     *(per_gnb[g] for g in others))]
+        r = reports[ue]
+        assert r.i_inter_w > 0.0
+        assert r.i_inter_w == pytest.approx(np.mean(draws), rel=1e-12, abs=0)
+        assert r.rss_w == pytest.approx(power(ue, bpl.gnb, ue), rel=1e-12,
+                                        abs=0)
+        assert r.i_intra_w == 0.0
+        assert r.rate_bps == (throughput(r.sinr_db, tiny_cfg)
+                              / len(per_gnb[bpl.gnb]))
 
 
 # -- a gNB-UE pair without paths ------------------------------------------------
@@ -1314,8 +1349,7 @@ def test_pair_without_paths_runs_every_mode(tiny_cfg):
     for mode in AllocMode:
         if mode is AllocMode.CBF_TDMA:
             pytest.raises(ValueError, allocate, inputs, mode)
-            alloc, reports = allocate_cbf_tdma(inputs,
-                                               np.random.default_rng(0))
+            alloc, reports = allocate_cbf_tdma(inputs)
         else:
             alloc = allocate(inputs, mode)
             reports, _ = network_report(alloc.serving, alloc.states,

@@ -417,6 +417,25 @@ def test_ingest_rejects_malformed_rows(tmp_path, row):
     assert err.value.line == 2
 
 
+def test_ingest_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with a byte-order mark
+    plain = _write_trace(tmp_path, ["0,0,0.5,-0.5,10,0,-170,0,0,40",
+                                    "1,0,0.2,0,-10,0,170,0,0,55"])
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "trace.csv").read_bytes())
+    assert ingest_paths(str(marked)) == ingest_paths(plain)
+
+
+def test_ingest_undecodable_bytes_is_parse_error(tmp_path):
+    path = tmp_path / "trace.bin"
+    path.write_bytes((_HEADER + "\n0,0,1,0,0,0,0,0,0,10\n").encode()
+                     + np.random.default_rng(0).bytes(3000))
+    with pytest.raises(TraceParseError) as err:
+        ingest_paths(str(path))
+    assert err.value.line >= 3
+    assert "UTF-8" in str(err.value)
+
+
 def test_ingest_unknown_ids(tmp_path):
     path = _write_trace(tmp_path, ["5,0,1,0,0,0,0,0,0,10"])
     with pytest.raises(TraceReferenceError):

@@ -214,6 +214,18 @@ def test_cli_missing_trace_file_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_undecodable_trace_file_is_simulation_error(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(np.random.default_rng(0).bytes(3000))
+    cfg_path = _write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg_path, "--out",
+                 str(tmp_path / "out"), "--override",
+                 f"trace_file={trace}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error:")
+    assert "Traceback" not in err
+
+
 def test_cli_oracle_check(tmp_path, capsys):
     # tiny scenario inside the exhaustive-search guard rails
     cfg_path = _write_cfg(tmp_path, area_side_m=150.0, ue_density=200.0,
