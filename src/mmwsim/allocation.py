@@ -16,7 +16,8 @@ from . import metrics
 from .beamsweep import BeamPairLink, Sweep
 from .codebook import N_SEC, FullCodebook
 from .errors import CapacityError, GuardRailError, RankDeficiencyError
-from .metrics import column_powers
+# unused here: perfbench/tracing.py counts the kernel's calls by this name too
+from .metrics import column_powers  # noqa: F401
 from .precoder import (GnbPrecoderState, compose, dbf_from_rows, rf_stage,
                        zf_stage)
 from .scenario import NetworkConfig
@@ -101,14 +102,8 @@ def build_candidates(inputs: AllocationInputs, ue: int,
 
 def read_beams(sweep_result: Sweep, monitored: tuple) -> np.ndarray:
     """Sorted UE beams any allocator may read for this UE: those of its
-    monitored BPLs, the ``candidate_ranks`` pair.
-
-    Padded with beams 0 and 1 to at least two: in a product over two or
-    more rows each row has the bits it has in a product over all UE beams,
-    while a single row goes through gemv, whose last bit can differ.
-    """
-    beams = np.unique(sweep_result.ue_beam[np.concatenate(monitored)])
-    return beams if len(beams) >= 2 else np.union1d(beams, [0, 1])
+    monitored BPLs, the ``candidate_ranks`` pair."""
+    return np.unique(sweep_result.ue_beam[np.concatenate(monitored)])
 
 
 def gnb_precoder_state(inputs: AllocationInputs, gnb: int, ues: list,
@@ -207,9 +202,8 @@ class _Engine:
         state = gnb_precoder_state(self.inputs, g, ues, serving, self.use_dbf)
         rows = np.array([self.inputs.true_rows[(u, g)][serving[u].ue_beam]
                          for u in ues])
-        powers = state.p_per_ue * column_powers(rows, state.w_combined)
-        sums = powers.sum(axis=1)
-        return state, {u: (float(powers[i, i]), float(sums[i] - powers[i, i]))
+        sums, own = metrics.gnb_powers(state, rows, range(len(ues)))
+        return state, {u: (float(own[i]), float(sums[i] - own[i]))
                        for i, u in enumerate(ues)}
 
     def _inter_caused(self, g: int, state: GnbPrecoderState) -> dict:
@@ -220,9 +214,8 @@ class _Engine:
             return {}
         rows = np.vstack([self.inputs.true_rows[(u, g)][self.serving[u].ue_beam]
                           for u in others])
-        contrib = (state.p_per_ue *
-                   column_powers(rows, state.w_combined)).sum(axis=1)
-        return {u: float(c) for u, c in zip(others, contrib)}
+        return {u: float(c)
+                for u, c in zip(others, metrics.gnb_powers(state, rows)[0])}
 
     def _pos(self, bpl: BeamPairLink) -> int:
         """Position of ``bpl``'s UE beam in its UE's kept rows."""
@@ -242,10 +235,8 @@ class _Engine:
         memo = self._inter_memo[gnb]
         vec = memo.get(ue)
         if vec is None:
-            state = self.states[gnb]
-            vec = memo[ue] = state.p_per_ue * column_powers(
-                self.inputs.true_rows[(ue, gnb)].matrix,
-                state.w_combined).sum(axis=1)
+            vec = memo[ue] = metrics.gnb_powers(
+                self.states[gnb], self.inputs.true_rows[(ue, gnb)].matrix)[0]
         return vec
 
     def _inter_bounds(self, ue: int, bpls: list) -> list:
@@ -353,8 +344,14 @@ class _Engine:
         return out.tolist()
 
     def _sinr(self, sig_intra: tuple, inter: dict) -> float:
+        """Linear SINR from (signal, intra) and gNB -> inter-cell power,
+        added as ``metrics.evaluate_allocation`` adds them: in ascending gNB
+        order, from 0.0."""
+        total = 0.0
+        for g in sorted(inter):
+            total += inter[g]
         sig, intra = sig_intra
-        return sig / (intra + sum(inter.values()) + self.noise)
+        return sig / (intra + total + self.noise)
 
     def sinr_lin(self, ue: int) -> float:
         return self._sinr((self.sig[ue], self.intra[ue]), self.inter[ue])
@@ -387,9 +384,7 @@ class _Engine:
             return None
         if check_network_wide:
             for u, c in self._inter_caused(g, state).items():
-                # g keeps its place in u's interference sum, or joins last
-                inter = dict(self.inter[u])
-                inter[g] = c
+                inter = {**self.inter[u], g: c}
                 if self._sinr((self.sig[u], self.intra[u]), inter) < thresh:
                     return None
         return own, state, powers
@@ -441,6 +436,13 @@ class _Engine:
         del self.sig[ue], self.intra[ue], self.inter[ue]
         return g
 
+    def drop_below_threshold(self) -> None:
+        """Drop every UE below the SINR threshold, then again among those
+        left once their gNBs are rebuilt, until none is."""
+        while viol := [u for u in self.serving
+                       if self.sinr_lin(u) < self.sinr_min_lin]:
+            self.remove_many(viol)
+
     def remove_many(self, ues: list) -> None:
         for g in sorted({self._drop(u) for u in ues}):
             state, powers = None, {}
@@ -477,23 +479,6 @@ def _initial_gnbs(sweeps: dict) -> dict:
     return {u: int(c.gnb[0]) for u, c in sweeps.items() if len(c)}
 
 
-def _enforce_coverage(engine: _Engine, inputs: AllocationInputs) -> None:
-    """Drop UEs until every allocated UE satisfies the coverage constraint.
-
-    Uses the from-scratch evaluation that reporting uses, so finalized
-    allocations are consistent with the emitted SINRs.
-    """
-    thresh = 10 ** (inputs.cfg.sinr_min_db / 10.0)
-    while engine.serving:
-        powers = metrics.evaluate_allocation(engine.serving, engine.states,
-                                             inputs.true_rows)
-        viol = [u for u, (s, ia, ie) in powers.items()
-                if s / (ia + ie + engine.noise) < thresh]
-        if not viol:
-            break
-        engine.remove_many(viol)
-
-
 def allocate_5gnr(inputs: AllocationInputs,
                   use_dbf: bool = False) -> Allocation:
     """Interference-agnostic baseline: everyone gets their strongest BPL.
@@ -506,19 +491,11 @@ def allocate_5gnr(inputs: AllocationInputs,
     initial = _initial_gnbs(inputs.sweeps)
     for ue in _ue_order(inputs.sweeps):
         cands = build_candidates(inputs, ue, mode)
-        if not engine.commit(cands.bpls[0]):
-            continue
         # the new admission reshapes its gNB's precoder and radiates into
         # every cell; any allocated link that sinks below the threshold is
         # dropped immediately and never revisited
-        thresh = engine.sinr_min_lin
-        while True:
-            viol = [u for u in list(engine.serving)
-                    if engine.sinr_lin(u) < thresh]
-            if not viol:
-                break
-            engine.remove_many(viol)
-    _enforce_coverage(engine, inputs)
+        if engine.commit(cands.bpls[0]):
+            engine.drop_below_threshold()
     return engine.to_allocation(mode, initial)
 
 
@@ -529,7 +506,9 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
     feasible only if no already-allocated link (serving gNB only for the
     distributed variant, network-wide for the centralized one) would drop
     below the coverage threshold.  The feasible candidate with the highest
-    own SINR is committed.
+    own SINR is committed.  The distributed variant can push another
+    cell's UE below the threshold; such victims are dropped once, at the
+    end of the scan.
 
     The scan runs in descending order of ``candidate_bounds`` and stops at
     the first candidate whose bound cannot reach the threshold or beat the
@@ -590,7 +569,7 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
                 best = bpl, tried[1:]
         if best is not None:
             engine.commit(*best)
-    _enforce_coverage(engine, inputs)
+    engine.drop_below_threshold()
     return engine.to_allocation(mode, initial)
 
 
@@ -792,18 +771,10 @@ class _OracleScorer:
         """Power terms of ``gnb``'s precoder for the UEs ``choice`` puts on
         it; None when the set is infeasible.
 
-        Returns ``(powers, own, alone)``: ``powers[row[i][k]]`` is the power
-        the precoder puts on UE i through the UE beam of its option k,
-        summed over the columns; ``own[c]`` is the c-th served UE's power in
-        its own column at its serving beam; ``alone`` is that power from a
-        one-row product when the gNB serves one UE, else None.
-
-        ``metrics.evaluate_allocation`` stacks one row per served UE of the
-        network before the product.  With two or more rows numpy runs gemm,
-        and each row's bits equal those of the stack used here
-        (``read_beams`` keeps at least two rows per UE); a single row goes
-        through gemv, whose last bit can differ, so an assignment that
-        serves one UE reads ``alone``.
+        Returns ``(powers, own)``: ``powers[row[i][k]]`` is the power the
+        precoder puts on UE i through the UE beam of its option k, summed
+        over the columns; ``own[c]`` is the c-th served UE's power in its
+        own column at its serving beam (``metrics.gnb_powers``).
         """
         served = [i for i, k in enumerate(choice)
                   if self.gnb_of[i][k] == gnb]
@@ -814,17 +785,10 @@ class _OracleScorer:
                                        use_dbf=False)
         except (CapacityError, RankDeficiencyError):
             return None
-        w, p = state.w_combined, state.p_per_ue
-        own_rows = [self.row[i][choice[i]] for i in served]
-        cols = p * column_powers(self.stack[gnb], w)
+        powers, own = metrics.gnb_powers(
+            state, self.stack[gnb], [self.row[i][choice[i]] for i in served])
         # array("d") keeps the cached terms compact, at 8 bytes a power
-        powers = array("d", cols.sum(axis=1).tolist())
-        own = array("d", cols[own_rows, range(len(served))].tolist())
-        alone = None
-        if len(served) == 1:
-            row = self.stack[gnb][own_rows]
-            alone = float((p * column_powers(row, w))[0, 0])
-        return powers, own, alone
+        return array("d", powers.tolist()), array("d", own.tolist())
 
     def rate(self, choice: tuple) -> Optional[float]:
         """Sum throughput of one complete assignment, None if infeasible."""
@@ -845,7 +809,7 @@ class _OracleScorer:
         n = len(choice)
         sig, intra, inter = [0.0] * n, [0.0] * n, [0.0] * n
         for g in sorted(found):
-            powers, own, _ = found[g]
+            powers, own = found[g]
             c = 0
             for i, k in served:
                 if gnb_of[i][k] == g:
@@ -854,9 +818,6 @@ class _OracleScorer:
                     c += 1
                 else:
                     inter[i] += powers[row[i][k]]
-        if len(served) == 1:
-            (i, k), = served
-            sig[i], intra[i] = found[gnb_of[i][k]][2], 0.0
         cfg = self.inputs.cfg
         total = 0.0
         for i, _ in served:

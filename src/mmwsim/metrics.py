@@ -60,9 +60,25 @@ class LinkReport:
 
 
 def column_powers(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|R @ W|^2 entrywise; the common kernel of every power metric."""
-    m = rows @ w
+    """|R @ W|^2 entrywise; the common kernel of every power metric.
+
+    Each row of a product over two or more rows has the same bits whatever
+    the other rows are, while numpy runs a one-row product through gemv,
+    whose last bits can differ: a lone row is multiplied inside a two-row
+    product, so a row's powers never depend on the stack it is read in.
+    """
+    m = (np.vstack([rows, rows]) @ w)[:1] if len(rows) == 1 else rows @ w
     return m.real ** 2 + m.imag ** 2
+
+
+def gnb_powers(state, rows: np.ndarray, own_rows=()) -> tuple:
+    """Powers the precoder ``state`` puts on ``rows``: each row's
+    p |r W|^2 summed over the columns, and for the c-th served UE, whose
+    row is ``own_rows[c]``, its power in its own column c.  Every power
+    the allocators and the reports read comes from here."""
+    powers = state.p_per_ue * column_powers(rows, state.w_combined)
+    own_rows = list(own_rows)
+    return powers.sum(axis=1), powers[own_rows, range(len(own_rows))]
 
 
 def throughput(sinr_db: float, cfg: NetworkConfig) -> float:
@@ -78,32 +94,28 @@ def throughput(sinr_db: float, cfg: NetworkConfig) -> float:
 def evaluate_allocation(serving: dict, states: dict, rows: dict) -> dict:
     """Signal and interference powers of every allocated UE.
 
-    Returns ue -> (rss_w, i_intra_w, i_inter_w).  The per-gNB kernel matches
-    the allocation engine's incremental updates, so threshold checks agree.
+    Returns ue -> (rss_w, i_intra_w, i_inter_w).  A UE's inter-cell terms
+    are added in ascending gNB order from 0.0, as the allocation engine
+    adds them, so its SINRs are these bit for bit.
     """
     ues = sorted(serving)
     idx = {u: k for k, u in enumerate(ues)}
-    sig = np.zeros(len(ues))
-    intra = np.zeros(len(ues))
-    inter = np.zeros(len(ues))
+    out = {u: [0.0, 0.0, 0.0] for u in ues}
     for g in sorted(states):
         state = states[g]
         if state is None or not state.served:
             continue
-        col_of = {u: c for c, u in enumerate(state.served)}
         stacked = np.vstack([rows[(u, g)][serving[u].ue_beam] for u in ues])
-        powers = state.p_per_ue * column_powers(stacked, state.w_combined)
-        row_sums = powers.sum(axis=1)
-        for u in ues:
-            k = idx[u]
-            if serving[u].gnb == g:
-                own = powers[k, col_of[u]]
-                sig[k] = own
-                intra[k] = row_sums[k] - own
-            else:
-                inter[k] += row_sums[k]
-    return {u: (float(sig[idx[u]]), float(intra[idx[u]]), float(inter[idx[u]]))
-            for u in ues}
+        sums, own = gnb_powers(state, stacked, [idx[u] for u in state.served])
+        sums = sums.tolist()
+        for u, s in zip(state.served, own.tolist()):
+            out[u][:2] = s, sums[idx[u]] - s
+        # only the other gNBs' UEs: adding to all and subtracting the own
+        # terms again would not be exact
+        for u, s in zip(ues, sums):
+            if serving[u].gnb != g:
+                out[u][2] += s
+    return {u: tuple(v) for u, v in out.items()}
 
 
 def _db(x: float) -> float:
@@ -164,6 +176,11 @@ def summarize(reports: list[LinkReport], cfg: NetworkConfig) -> dict:
     for r in served:
         rank_hist[r.alloc_rank] = rank_hist.get(r.alloc_rank, 0) + 1
 
+    # plain additions in UE order: built-in sum is compensated from 3.12 on
+    total = 0.0
+    for r in reports:
+        total += r.rate_bps
+
     def share(pred) -> float:
         return sum(1 for r in served if pred(r)) / len(served) if served else 0.0
 
@@ -174,7 +191,7 @@ def summarize(reports: list[LinkReport], cfg: NetworkConfig) -> dict:
         "median_sinr_db": float(np.median(sinrs)) if sinrs else None,
         "median_rate_bps": (float(np.median([r.rate_bps for r in reports]))
                             if reports else None),
-        "sum_throughput_bps": float(sum(r.rate_bps for r in reports)),
+        "sum_throughput_bps": float(total),
         "bpl_rank_histogram": {str(k): rank_hist[k] for k in sorted(rank_hist)},
         "secondary_bpl_share": share(lambda r: r.alloc_rank > 1),
         "los_share": share(lambda r: r.is_los),

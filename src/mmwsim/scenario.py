@@ -284,8 +284,11 @@ def _coerce(name: str, value, target_type):
             if value.lower() in ("false", "0", "no"):
                 return False
         raise ConfigurationError(f"cannot parse boolean for {name}: {value!r}")
-    # int or float; a value neither converts ends as a ConfigurationError
+    # int or float; a value neither converts ends as a ConfigurationError,
+    # and so does a bool (YAML reads yes/no/on/off/true/false as bools)
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)
         if target_type is float:
             return float(value)
         iv = int(value)

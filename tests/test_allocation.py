@@ -151,8 +151,7 @@ def _old_read_beams(sweep_result, n_csi_rs):
     ranks = np.concatenate([
         _old_candidate_ranks(sweep_result, mode, initial, n_csi_rs)
         for mode in (AllocMode.DIABA, AllocMode.CIABA)])
-    beams = np.unique(sweep_result.ue_beam[ranks])
-    return beams if len(beams) >= 2 else np.union1d(beams, [0, 1])
+    return np.unique(sweep_result.ue_beam[ranks])
 
 
 @pytest.mark.parametrize("n_csi_rs", [1, 4, math.inf])
@@ -978,7 +977,15 @@ def _unpruned_iaba(inputs, mode):
                 best_bpl = bpl
         if best_bpl is not None and best_sinr >= engine.sinr_min_lin:
             engine.commit(best_bpl)
-    allocation._enforce_coverage(engine, inputs)
+    # coverage from the from-scratch evaluation the reports use
+    while engine.serving:
+        powers = evaluate_allocation(engine.serving, engine.states,
+                                     inputs.true_rows)
+        viol = [u for u, (s, ia, ie) in powers.items()
+                if s / (ia + ie + engine.noise) < engine.sinr_min_lin]
+        if not viol:
+            break
+        engine.remove_many(viol)
     return engine.to_allocation(mode, initial)
 
 
@@ -1010,6 +1017,36 @@ def test_iaba_matches_unpruned_reference():
             full_gnb |= any(len(ues) == inputs.cfg.n_rf_gnb
                             for ues in got.per_gnb.values())
     assert full_gnb
+
+
+def test_engine_sinrs_are_the_reported_sinrs(monkeypatch):
+    # the allocators decide on the SINRs the reports give, bit for bit
+    decided = []
+    to_allocation = allocation._Engine.to_allocation
+
+    def recorded(self, mode, initial_gnbs):
+        decided.append({u: self.sinr_lin(u) for u in self.serving})
+        return to_allocation(self, mode, initial_gnbs)
+
+    monkeypatch.setattr(allocation._Engine, "to_allocation", recorded)
+    cases = [_tiny_inputs(seed, r) for seed, r in TINY_ORACLE_CASES]
+    cases += [_desk_inputs(), _desk_inputs(**QUANTIZED_CSI)]
+    n_served, differ = 0, []
+    for inputs in cases:
+        noise = inputs.cfg.noise_w
+        for mode in (AllocMode.FIVEG_NR, AllocMode.DIABA, AllocMode.CIABA,
+                     AllocMode.DBF_5GNR):
+            alloc = allocate(inputs, mode)
+            engine = decided.pop()
+            assert engine.keys() == alloc.serving.keys()
+            powers = evaluate_allocation(alloc.serving, alloc.states,
+                                         inputs.true_rows)
+            for u, (s, ia, ie) in powers.items():
+                n_served += 1
+                if engine[u] != s / (ia + ie + noise):
+                    differ.append((mode.value, inputs.n_ues, u))
+    assert n_served > 400
+    assert differ == []
 
 
 def test_iaba_bound_holds_and_prunes(monkeypatch):

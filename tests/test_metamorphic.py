@@ -4,6 +4,8 @@ knowing the outcome.
 
 - Relabelling the UEs permutes the served map with the ids and moves no
   SINR.
+- Relabelling the gNBs (their paths and panel orientations) permutes the
+  serving gNBs with the ids and moves no SINR.
 - Adding the same number of dB to the transmit power and the noise power
   moves no link and no SINR.
 
@@ -95,3 +97,19 @@ def test_power_and_noise_shifted_together_move_nothing(csi, realization):
                       noise_dbm=cfg.noise_dbm + 7.0)
     after = _outcome(shifted, dep, paths, dep.ue_panel_orientations)
     assert _mismatches(_base(csi, realization), after) == {}
+
+
+@pytest.mark.parametrize("csi, realization", CASES)
+def test_relabelling_gnbs_permutes_the_outcome(csi, realization):
+    cfg, dep, paths = _realization(csi, realization)
+    perm = np.random.default_rng(realization).permutation(dep.n_gnbs)
+    if (perm == np.arange(dep.n_gnbs)).all():
+        perm = perm[::-1]
+    inv = np.argsort(perm)          # new id -> old id
+    relabelled = {(int(perm[g]), u): p for (g, u), p in paths.items()}
+    moved = replace(dep, gnb_panel_orientations=dep.gnb_panel_orientations[inv])
+    after = _outcome(cfg, moved, relabelled, dep.ue_panel_orientations)
+    back = {mode: {ue: ((int(inv[g]), gnb_beam, ue_beam), sinr)
+                   for ue, ((g, gnb_beam, ue_beam), sinr) in served.items()}
+            for mode, served in after.items()}
+    assert _mismatches(_base(csi, realization), back) == {}

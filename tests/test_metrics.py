@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ORIENT, full, make_inputs, path, small_instance
+from mmwsim import metrics
 from mmwsim.allocation import AllocMode, allocate
 from mmwsim.beamsweep import BeamPairLink
 from mmwsim.channel import Paths, assemble_channel
@@ -98,6 +99,29 @@ def _victim_combiner(cfg, alloc):
 
 def _assemble(cfg, rows):
     return assemble_channel(Paths.from_rows(rows), cfg, ORIENT, ORIENT)
+
+
+@pytest.mark.parametrize("n_cols", [1, 6])
+def test_column_powers_of_a_row_do_not_depend_on_its_stack(n_cols):
+    # numpy runs a one-row product through gemv, whose last bits can differ
+    # from the gemm a row gets in a stack; alone, first, last or in the
+    # middle, a row's powers are the same
+    rng = np.random.default_rng(n_cols)
+    k = 256
+
+    def draw(n):
+        return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+
+    w = draw(n_cols).T
+    for _ in range(10):
+        row = draw(1)
+        alone = column_powers(row, w)
+        assert alone.shape == (1, n_cols)
+        for height in (2, 3, 8, 31):
+            others = draw(height - 1)
+            for pos in sorted({0, height // 2, height - 1}):
+                stack = np.vstack([others[:pos], row, others[pos:]])
+                assert np.array_equal(column_powers(stack, w)[pos], alone[0])
 
 
 def test_reference_ops_against_hand_computation():
@@ -220,3 +244,19 @@ def test_summarize_shares():
     assert s["handover_share"] == pytest.approx(0.5)
     assert s["inter_inr_pos_share"] == pytest.approx(0.5)
     assert s["bpl_rank_histogram"] == {"1": 1, "3": 1}
+
+
+def test_sum_throughput_adds_the_rates_in_ue_order(monkeypatch):
+    # plain float additions, as Python 3.11's built-in sum makes them: from
+    # 3.12 on sum is compensated, so with a compensated sum in its place
+    # the total stays the same
+    monkeypatch.setattr(metrics, "sum", lambda xs, start=0: math.fsum(xs)
+                        + start, raising=False)
+    rates = [0.1, 0.2, 0.3]
+    assert 0.1 + 0.2 + 0.3 != math.fsum(rates)
+    cfg = NetworkConfig()
+    reports = []
+    for ue, rate in enumerate(rates):
+        reports.append(dropped_report(ue, cfg.noise_w))
+        reports[-1].rate_bps = rate
+    assert summarize(reports, cfg)["sum_throughput_bps"] == 0.1 + 0.2 + 0.3

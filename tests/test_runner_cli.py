@@ -202,6 +202,20 @@ def test_cli_bad_override_is_config_error(tmp_path, capsys, override):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("override", ["n_t=yes", "n_csi_rs=on",
+                                      "area_side_m=true"])
+def test_cli_yaml_bool_for_a_number_is_config_error(tmp_path, capsys,
+                                                    override):
+    # YAML reads the value as a boolean, which is no number
+    cfg_path = _write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg_path, "--out",
+                 str(tmp_path / "out"), "--realizations", "1",
+                 "--override", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
 def test_cli_missing_trace_file_is_config_error(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     cfg_path = _write_cfg(tmp_path)
@@ -418,12 +432,9 @@ def test_pairs_keep_rows_only_at_their_read_beams(n_csi_rs):
     est_ref = _eager_estimated_rows(cfg, dep, paths)
     sizes = []
     for u in range(dep.n_ues):
-        # the receive beams of the UE's dIABA and cIABA candidates, at
-        # least two
+        # the receive beams of the UE's dIABA and cIABA candidates
         want = {b.ue_beam for mode in (AllocMode.DIABA, AllocMode.CIABA)
                 for b in build_candidates(inputs, u, mode).bpls}
-        if len(want) < 2:
-            want |= {0, 1}
         sizes.append(len(want))
         outside = min(set(range(ue_book.n_beams)) - want)
         for g in range(dep.n_gnbs):

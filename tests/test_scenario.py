@@ -78,6 +78,15 @@ def test_config_mapping_inf_sentinel():
     assert cfg.n_csi_rs == 4
 
 
+@pytest.mark.parametrize("key", ["n_t", "n_csi_rs", "area_side_m"])
+def test_config_mapping_rejects_a_bool_for_a_number(key):
+    # YAML reads yes/no/on/off/true/false as booleans
+    with pytest.raises(ConfigurationError, match=key):
+        config_from_mapping({key: True})
+    cfg = config_from_mapping({"randomize_ue_orientation": False})
+    assert cfg.randomize_ue_orientation is False
+
+
 def test_ssb_cap_enforced():
     with pytest.raises(ConfigurationError):
         NetworkConfig(n_q_sweep_bits=5).validate()
