@@ -628,7 +628,8 @@ class _OracleScorer:
 
     ``search`` walks the assignments depth first, one UE per level, and
     scores only those whose prefix bounds say they may beat the best so
-    far.
+    far.  A leaf that needs terms not yet built is first bounded from the
+    terms it has, and builds them only if it may still win.
     """
 
     def __init__(self, inputs: AllocationInputs, ue_ids: list,
@@ -640,6 +641,10 @@ class _OracleScorer:
         self.noise = cfg.noise_w
         self.thresh = 10 ** (cfg.sinr_min_db / 10.0)
         self.n_rf_sec = cfg.n_rf_gnb_sec
+        self.shannon = cfg.alpha_loss * cfg.bandwidth_hz
+        self.s_max = 10 ** (cfg.sinr_max_db / 10.0)
+        self.peak = max(cfg.r_max_bps,
+                        self.shannon * math.log2(1.0 + self.s_max))
         # gnb_of[i][k]: gNB of UE i's option k (-1 for dropped); panel_of:
         # its panel (None for dropped); mark[i][k]: its 3-bit digit (at most
         # ORACLE_MAX_CANDIDATES + 1 options) in the code of the
@@ -663,46 +668,47 @@ class _OracleScorer:
             self.row.append([0 if b is None else start + index[b.ue_beam]
                              for b in opts])
             start += len(index)
+
+        # p_gain[i][k]: p_max ||r||^2 with r UE i's row on option k (None
+        # for dropped), the most signal a unit-norm column can give it
+        def p_gain(b: BeamPairLink) -> float:
+            pair = rows[(b.ue, b.gnb)]
+            return cfg.p_max_w * float(pair.gain[pair.index[b.ue_beam]])
+
+        self.p_gain = [[None if b is None else p_gain(b) for b in opts]
+                       for opts in options]
         # ceiling[i][k][n - 1]: a bound on UE i's throughput on option k
-        # while its gNB serves n UEs (None: its SINR cannot reach the
-        # threshold); rest[d]: the sum of the best ceilings alone of UEs d
-        # and after (0 for a UE that can only be dropped)
-        self.ceiling = [[None if b is None else self._ceilings(b, len(options))
-                         for b in opts] for opts in options]
+        # while its gNB serves n UEs, at the SNR of p_max / n on a unit-norm
+        # column (None: it cannot reach the threshold); rest[d]: the sum of
+        # the best ceilings alone of UEs d and after (0 for a UE that can
+        # only be dropped)
+        self.ceiling = [[None if p is None else
+                         [self._rate_bound(p / self.noise / n)
+                          for n in range(1, len(options) + 1)]
+                         for p in ps] for ps in self.p_gain]
         best_alone = [max([0.0] + [c[0] for c in cs if c and c[0] is not None])
                       for cs in self.ceiling]
         self.rest = [sum(best_alone[d:]) for d in range(len(options) + 1)]
-        self.terms: dict = {}      # (gnb, code) -> _gnb_terms(...)
+        # terms[g][code]: _gnb_terms of gNB g's sub-assignment ``code``
+        self.terms = [{} for _ in range(inputs.n_gnbs)]
 
-    def _ceilings(self, bpl: BeamPairLink, n_max: int) -> list:
-        """Throughput bound of ``bpl`` on a gNB serving 1..n_max UEs: the
-        most ``metrics.throughput`` gives at an SINR of at most the SNR s of
-        p_max / n on a unit-norm column, |r w|^2 <= ||r||^2.
+    def _rate_bound(self, s: float) -> Optional[float]:
+        """The most ``metrics.throughput`` gives at an SINR of at most
+        ``s``; None when that SINR cannot reach the threshold.
 
         ``throughput`` is not monotone: alpha B log2(1 + SINR) may pass
         r_max_bps below sinr_max_db, where the cap cuts it back, so every
         s at or past sinr_max_db takes the larger of the two.  A leaf's
         SINR may round a few ulps above s, so the threshold and the cap
-        tests see s with the margin; ``_total_bound`` inflates the sum.
+        tests see s with the margin; the sums of these bounds are inflated
+        by it too.
         """
-        cfg = self.inputs.cfg
-        rows = self.inputs.true_rows[(bpl.ue, bpl.gnb)]
-        gain = float(rows.gain[rows.index[bpl.ue_beam]])
-        snr = cfg.p_max_w * gain / self.noise
-        shannon = cfg.alpha_loss * cfg.bandwidth_hz
-        s_max = 10 ** (cfg.sinr_max_db / 10.0)
-        peak = max(cfg.r_max_bps, shannon * math.log2(1.0 + s_max))
-        out = []
-        for n in range(1, n_max + 1):
-            s = snr / n
-            s_up = s * (1.0 + _BOUND_MARGIN)
-            if s_up < self.thresh:
-                out.append(None)
-            elif s_up >= s_max:
-                out.append(peak)
-            else:
-                out.append(shannon * math.log2(1.0 + max(s, self.thresh)))
-        return out
+        s_up = s * (1.0 + _BOUND_MARGIN)
+        if s_up < self.thresh:
+            return None
+        if s_up >= self.s_max:
+            return self.peak
+        return self.shannon * math.log2(1.0 + max(s, self.thresh))
 
     def _gnb_bound(self, members: list) -> Optional[float]:
         """Bound on the summed throughput of the (UE, option) ``members``
@@ -736,21 +742,22 @@ class _OracleScorer:
         """The best choice: the first of the highest rate in product order.
 
         Leaves are visited in product order and a leaf replaces the best
-        only with a higher rate, so skipping subtrees whose bound cannot
-        beat the best keeps the exhaustive winner.
+        only with a higher rate, so skipping subtrees, and leaves, whose
+        bound cannot beat the best keeps the exhaustive winner.
         """
+        n = self.inputs.n_gnbs
         best = [-1.0, ()]                        # rate, choice
-        self._descend([], [[] for _ in range(self.inputs.n_gnbs)],
-                      [0.0] * self.inputs.n_gnbs, best)
+        self._descend([], [[] for _ in range(n)], [0.0] * n, [0] * n, best)
         return best[1]
 
-    def _descend(self, prefix: list, members: list, sums: list,
+    def _descend(self, prefix: list, members: list, sums: list, codes: list,
                  best: list) -> None:
         """Search below ``prefix``; ``members[g]`` holds the (i, k) it
-        places on gNB g and ``sums[g]`` their ``_gnb_bound``."""
+        places on gNB g, ``sums[g]`` their ``_gnb_bound`` and ``codes[g]``
+        the code of their sub-assignment (0 for none)."""
         i = len(prefix)
         if i == len(self.options):
-            rate = self.rate(tuple(prefix))
+            rate = self._rate(prefix, members, codes, best[0])
             if rate is not None and rate > best[0]:
                 best[:] = rate, tuple(prefix)
             return
@@ -758,74 +765,146 @@ class _OracleScorer:
             prefix.append(k)
             if g >= 0:
                 members[g].append((i, k))
+                codes[g] += self.mark[i][k]
                 kept, sums[g] = sums[g], self._gnb_bound(members[g])
             bound = self._total_bound(i + 1, sums)
             if bound is not None and bound > best[0]:
-                self._descend(prefix, members, sums, best)
+                self._descend(prefix, members, sums, codes, best)
             if g >= 0:
                 members[g].pop()
+                codes[g] -= self.mark[i][k]
                 sums[g] = kept
             prefix.pop()
 
-    def _gnb_terms(self, gnb: int, choice: tuple) -> Optional[tuple]:
-        """Power terms of ``gnb``'s precoder for the UEs ``choice`` puts on
-        it; None when the set is infeasible.
+    def _gnb_terms(self, gnb: int, members: list) -> Optional[tuple]:
+        """Power terms of ``gnb``'s precoder for the (i, k) ``members`` it
+        serves, in UE order; None when the set is infeasible.
 
         Returns ``(powers, own)``: ``powers[row[i][k]]`` is the power the
         precoder puts on UE i through the UE beam of its option k, summed
         over the columns; ``own[c]`` is the c-th served UE's power in its
         own column at its serving beam (``metrics.gnb_powers``).
         """
-        served = [i for i, k in enumerate(choice)
-                  if self.gnb_of[i][k] == gnb]
-        ues = [self.ue_ids[i] for i in served]
-        serving = {self.ue_ids[i]: self.options[i][choice[i]] for i in served}
+        ues = [self.ue_ids[i] for i, _ in members]
+        serving = {self.ue_ids[i]: self.options[i][k] for i, k in members}
         try:
             state = gnb_precoder_state(self.inputs, gnb, ues, serving,
                                        use_dbf=False)
         except (CapacityError, RankDeficiencyError):
             return None
         powers, own = metrics.gnb_powers(
-            state, self.stack[gnb], [self.row[i][choice[i]] for i in served])
+            state, self.stack[gnb], [self.row[i][k] for i, k in members])
         # array("d") keeps the cached terms compact, at 8 bytes a power
         return array("d", powers.tolist()), array("d", own.tolist())
 
     def rate(self, choice: tuple) -> Optional[float]:
         """Sum throughput of one complete assignment, None if infeasible."""
-        gnb_of, row = self.gnb_of, self.row
-        served = [(i, k) for i, k in enumerate(choice) if gnb_of[i][k] >= 0]
-        codes: dict = {}
-        for i, k in served:
-            g = gnb_of[i][k]
-            codes[g] = codes.get(g, 0) + self.mark[i][k]
-        found = {}
-        for g, code in codes.items():
-            key = (g, code)
-            if key not in self.terms:
-                self.terms[key] = self._gnb_terms(g, choice)
-            if self.terms[key] is None:
-                return None
-            found[g] = self.terms[key]
-        n = len(choice)
-        sig, intra, inter = [0.0] * n, [0.0] * n, [0.0] * n
-        for g in sorted(found):
-            powers, own = found[g]
-            c = 0
-            for i, k in served:
-                if gnb_of[i][k] == g:
-                    sig[i] = own[c]
-                    intra[i] = powers[row[i][k]] - own[c]
-                    c += 1
+        members = [[] for _ in range(self.inputs.n_gnbs)]
+        codes = [0] * self.inputs.n_gnbs
+        for i, k in enumerate(choice):
+            g = self.gnb_of[i][k]
+            if g >= 0:
+                members[g].append((i, k))
+                codes[g] += self.mark[i][k]
+        return self._rate(choice, members, codes, -math.inf)
+
+    def _rate(self, choice, members: list, codes: list,
+              floor: float) -> Optional[float]:
+        """Sum throughput of the complete assignment ``choice``, whose gNB
+        g serves the (i, k) in ``members[g]``, sub-assignment ``codes[g]``;
+        None if it is infeasible, or if it needs terms not yet built and
+        cannot beat ``floor``.
+
+        Cached terms are read first, so a cached infeasible one ends the
+        scoring before anything is built.  Missing terms are built, in
+        ascending gNB order, only if the ``_sinrs`` of the terms at hand
+        pass ``_cut``.  Every SINR is computed before any throughput.
+        """
+        terms = [None] * len(codes)
+        missing = []
+        for g, code in enumerate(codes):
+            if code:
+                cache = self.terms[g]
+                if code not in cache:
+                    missing.append(g)
+                elif cache[code] is None:
+                    return None
                 else:
-                    inter[i] += powers[row[i][k]]
+                    terms[g] = cache[code]
+        sinrs = self._sinrs(choice, members, terms)
+        if sinrs is None:
+            return None
+        if missing:
+            if self._cut(sinrs, floor):
+                return None
+            for g in missing:
+                terms[g] = self.terms[g][codes[g]] = self._gnb_terms(
+                    g, members[g])
+                if terms[g] is None:
+                    return None
+            sinrs = self._sinrs(choice, members, terms)
+            if sinrs is None:
+                return None
         cfg = self.inputs.cfg
         total = 0.0
-        for i, _ in served:
-            sinr = sig[i] / (intra[i] + inter[i] + self.noise)
-            if sinr < self.thresh:
-                return None
+        for sinr in sinrs:
             total += metrics.throughput(10.0 * math.log10(sinr), cfg)
         return total
+
+    def _cut(self, sinrs: list, floor: float) -> bool:
+        """Whether a leaf whose served UEs' SINRs are at most ``sinrs``
+        (``_sinrs`` before all its terms are built) cannot be feasible or
+        beat ``floor``."""
+        total = 0.0
+        for s in sinrs:
+            bound = self._rate_bound(s)
+            if bound is None:
+                return True
+            total += bound
+        return total * (1.0 + _BOUND_MARGIN) <= floor
+
+    def _sinrs(self, choice, members: list, terms: list) -> Optional[list]:
+        """Each served UE's SINR in UE order, from the ``terms`` of the
+        gNBs built so far (None for the others); None when a UE on a built
+        gNB falls below the threshold.
+
+        A UE's interference is added up over the built gNBs in ascending
+        gNB order from 0.0, as ``metrics.evaluate_allocation`` adds it,
+        so once every gNB is built each SINR is the one it would give.
+        Until then the sum only lacks non-negative terms, and float
+        addition of those is monotone, so it never exceeds the full one:
+        a UE on a built gNB gets an SINR no lower than its final one, and
+        one on a gNB not built gets p_max ||r||^2 / n over that
+        interference and the noise (n its gNB's load), the unit-norm bound
+        of ``ceiling``.
+        """
+        gnb_of, row, noise = self.gnb_of, self.row, self.noise
+        built = [(g, found[0]) for g, found in enumerate(terms)
+                 if found is not None]
+        placed = [0] * len(terms)        # members of each gNB seen so far
+        out = []
+        for i, k in enumerate(choice):
+            g = gnb_of[i][k]
+            if g < 0:
+                continue
+            r = row[i][k]
+            inter = 0.0
+            for h, powers in built:
+                if h != g:
+                    inter += powers[r]
+            found = terms[g]
+            if found is None:
+                out.append(self.p_gain[i][k] / len(members[g])
+                           / (inter + noise))
+                continue
+            powers, own = found
+            c = placed[g]
+            placed[g] = c + 1
+            sinr = own[c] / (powers[r] - own[c] + inter + noise)
+            if sinr < self.thresh:
+                return None
+            out.append(sinr)
+        return out
 
 
 def allocate_cbf_tdma(inputs: AllocationInputs) -> tuple[Allocation, list]:

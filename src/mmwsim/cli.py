@@ -87,12 +87,14 @@ def cmd_oracle_check(args) -> int:
 
     cfg = load_config(args.config)
     ctx = prepare_realization(cfg, 0)
+    # the summaries' totals: plain additions in UE order, the same on every
+    # Python version (built-in sum is compensated from 3.12 on)
     oracle = run_realization(ctx, AllocMode.ORACLE, cfg, 0)
-    oracle_rate = sum(r.rate_bps for r in oracle.reports)
+    oracle_rate = oracle.summary["sum_throughput_bps"]
     ok = True
     for mode in (AllocMode.FIVEG_NR, AllocMode.DIABA, AllocMode.CIABA):
         res = run_realization(ctx, mode, cfg, 0)
-        rate = sum(r.rate_bps for r in res.reports)
+        rate = res.summary["sum_throughput_bps"]
         dominated = rate <= oracle_rate + 1e-6
         ok = ok and dominated
         print(f"{mode.value}: sum_rate={rate / 1e9:.4f} Gbps "

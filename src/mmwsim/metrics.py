@@ -77,6 +77,8 @@ def gnb_powers(state, rows: np.ndarray, own_rows=()) -> tuple:
     row is ``own_rows[c]``, its power in its own column c.  Every power
     the allocators and the reports read comes from here."""
     powers = state.p_per_ue * column_powers(rows, state.w_combined)
+    if not own_rows:
+        return powers.sum(axis=1), np.empty(0)
     own_rows = list(own_rows)
     return powers.sum(axis=1), powers[own_rows, range(len(own_rows))]
 

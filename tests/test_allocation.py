@@ -636,11 +636,13 @@ def test_branch_and_bound_tie_goes_to_first_assignment(tiny_cfg):
 
 
 def _searched_bounds(monkeypatch, scorer):
-    """Run ``scorer.search`` and return its winner and the bound it
-    computed for each prefix it reached (None: cut as infeasible)."""
-    bounds, state = {}, {}
+    """Run ``scorer.search`` and return its winner, the bound it computed
+    for each prefix it reached (None: cut as infeasible) and each leaf it
+    reached with the best rate so far and what the leaf gave."""
+    bounds, state, leaves = {}, {}, []
     descend = allocation._OracleScorer._descend
     total_bound = allocation._OracleScorer._total_bound
+    leaf_rate = allocation._OracleScorer._rate
 
     def spied_descend(self, prefix, *rest):
         state["prefix"] = prefix          # one list, grown in place
@@ -651,11 +653,33 @@ def _searched_bounds(monkeypatch, scorer):
         bounds[tuple(state["prefix"])] = bound
         return bound
 
+    def scored(self, choice, members, codes, floor):
+        rate = leaf_rate(self, choice, members, codes, floor)
+        leaves.append((tuple(choice), floor, rate))
+        return rate
+
     with monkeypatch.context() as m:
         m.setattr(allocation._OracleScorer, "_descend", spied_descend)
         m.setattr(allocation._OracleScorer, "_total_bound", recorded)
+        m.setattr(allocation._OracleScorer, "_rate", scored)
         best = scorer.search()
-    return best, bounds
+    return best, bounds, leaves
+
+
+def _assert_leaves_sound(inputs, leaves) -> int:
+    """A leaf the search scored gave the rate ``rate`` gives on its own;
+    one it skipped (None) is infeasible or no better than the best so
+    far.  Returns the number of feasible leaves skipped."""
+    scorer = _scorer(inputs)
+    skipped = 0
+    for choice, floor, got in leaves:
+        want = scorer.rate(choice)
+        if got is None and want is not None:
+            assert want <= floor
+            skipped += 1
+        else:
+            assert got == want
+    return skipped
 
 
 def _assert_bounds_sound(scorer, bounds):
@@ -673,7 +697,7 @@ def test_branch_and_bound_bounds_every_leaf_and_scores_fewer(monkeypatch):
     overloaded = 0
     for case in ((1, 5), (1, 30)):
         scorer = _scorer(_tiny_inputs(*case))
-        _, bounds = _searched_bounds(monkeypatch, scorer)
+        _, bounds, _ = _searched_bounds(monkeypatch, scorer)
         _assert_bounds_sound(scorer, bounds)
         panel = scorer.inputs.gnb_book.panel
         for prefix, bound in bounds.items():
@@ -688,29 +712,56 @@ def test_branch_and_bound_bounds_every_leaf_and_scores_fewer(monkeypatch):
     product = list(itertools.product(
         *(range(len(o)) for o in _scorer(inputs).options)))
     scored = []
-    rate = allocation._OracleScorer.rate
+    rate = allocation._OracleScorer._rate
 
-    def counted(self, choice):
-        scored.append(choice)
-        return rate(self, choice)
+    def counted(self, choice, *rest):
+        scored.append(tuple(choice))
+        return rate(self, choice, *rest)
 
-    monkeypatch.setattr(allocation._OracleScorer, "rate", counted)
+    monkeypatch.setattr(allocation._OracleScorer, "_rate", counted)
     allocate_oracle(inputs)
     assert scored == sorted(set(scored))      # product order, each once
-    assert len(scored) < len(product)
+    assert 0 < len(scored) < len(product)
 
 
 def test_branch_and_bound_sound_under_low_rate_cap(monkeypatch):
     # with a cap of 1e9 b/s the uncapped Shannon rate passes it at about
     # 9.6 dB, well below sinr_max_db, so the rate is highest just below
     # sinr_max_db and not at or above it
+    skipped = 0
     for seed in range(50):
         inputs = small_instance(seed)
         inputs = replace(inputs, cfg=replace(inputs.cfg, r_max_bps=1e9))
         scorer = _scorer(inputs)
-        best, bounds = _searched_bounds(monkeypatch, scorer)
+        best, bounds, leaves = _searched_bounds(monkeypatch, scorer)
         assert best == _product_search(scorer)
         _assert_bounds_sound(scorer, bounds)
+        skipped += _assert_leaves_sound(inputs, leaves)
+    assert skipped
+
+
+def test_leaf_cut_skips_only_losers(monkeypatch):
+    # a leaf builds the terms it lacks only when the terms it has leave it
+    # feasible and able to beat the best so far
+    instances = [_tiny_inputs(*case) for case in TINY_ORACLE_CASES]
+    instances += [small_instance(seed) for seed in range(50)]
+    skipped = 0
+    for inputs in instances:
+        _, _, leaves = _searched_bounds(monkeypatch, _scorer(inputs))
+        skipped += _assert_leaves_sound(inputs, leaves)
+    assert skipped
+
+
+def test_leaf_cut_builds_fewer_precoders(monkeypatch):
+    inputs = _tiny_inputs(1, 5)
+    keys = _count_precoder_builds(monkeypatch)
+    best = _scorer(inputs).search()
+    with_cut = len(keys)
+    keys.clear()
+    monkeypatch.setattr(allocation._OracleScorer, "_cut",
+                        lambda self, sinrs, floor: False)
+    assert _scorer(inputs).search() == best
+    assert with_cut < len(keys)
 
 
 def test_oracle_search_state_freed_on_return(monkeypatch):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mmwsim import precoder
 from mmwsim.allocation import AllocationInputs, gnb_precoder_state
 from mmwsim.beamsweep import BeamPairLink
 from mmwsim.codebook import default_full_codebook
 from mmwsim.errors import (CapacityError, DimensionMismatchError,
                            RankDeficiencyError)
 from mmwsim.metrics import BeamRows
-from mmwsim.precoder import compose, dbf_from_rows, rf_stage, zf_stage
+from mmwsim.precoder import (COND_LIMIT, compose, dbf_from_rows, rf_stage,
+                             zf_stage)
 from mmwsim.scenario import NetworkConfig
 
 
@@ -128,3 +131,97 @@ def test_dbf_from_rows_unit_norm_and_zero_forcing():
     resp = rows @ w
     off = resp - np.diag(np.diag(resp))
     assert np.max(np.abs(off)) < 1e-10 * np.min(np.abs(np.diag(resp)))
+
+
+def _svd_guarded_pinv(aggregate, ues):
+    """``precoder._right_pinv`` as it was before its inverse certificate,
+    verbatim: every call decides the guard by an SVD."""
+    gram = aggregate @ aggregate.conj().T
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > COND_LIMIT ** 2:
+        raise RankDeficiencyError(ues, cond=float(np.sqrt(cond)))
+    try:
+        return aggregate.conj().T @ np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(ues) from exc
+
+
+def _pinv_outcome(pinv, aggregate):
+    """The right inverse's bytes, or the error's type and condition."""
+    try:
+        w = pinv(aggregate, [0])
+    except RankDeficiencyError as exc:
+        return type(exc), repr(exc.cond)
+    return w.shape, w.tobytes()
+
+
+def _aggregate(n, wide, kind, log_cond, log_scale, seed):
+    """An n x n H_bar, or n x 64 DBF rows when ``wide``: random
+    ("well"), with singular values spread over 10**log_cond ("near"), the
+    same spread on a diagonal ("graded": its Gram matrix is exact, so the
+    SVD can read a finite condition number past the guard that LU still
+    inverts), with a repeated column (H_bar) or row (rows), or with a zero
+    row (a pair without paths); the last two exactly singular."""
+    rng = np.random.default_rng(seed)
+    m = 64 if wide else n
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "near":
+        u = np.linalg.qr(gauss(n, n))[0]
+        v = np.linalg.qr(gauss(m, n))[0]
+        a = (u * np.logspace(0.0, -log_cond, n)) @ v.conj().T
+    elif kind == "graded":
+        a = np.zeros((n, m), complex)
+        a[range(n), range(n)] = (np.logspace(0.0, -log_cond, n)
+                                 * np.exp(2j * np.pi * rng.random(n)))
+    else:
+        a = gauss(n, m)
+        if kind == "zero":
+            a[n - 1] = 0.0
+        elif kind == "repeated" and n > 1:
+            if wide:
+                a[n - 1] = a[0]
+            else:
+                a[:, n - 1] = a[:, 0]
+    return a * 10.0 ** log_scale
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.integers(1, 16), wide=st.booleans(),
+       kind=st.sampled_from(["well", "near", "graded", "repeated",
+                             "zero"]),
+       log_cond=st.floats(0.0, 16.0), log_scale=st.integers(-40, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_right_pinv_matches_the_svd_guard(n, wide, kind, log_cond, log_scale,
+                                          seed):
+    a = _aggregate(n, wide, kind, log_cond, log_scale, seed)
+    assert (_pinv_outcome(precoder._right_pinv, a)
+            == _pinv_outcome(_svd_guarded_pinv, a))
+
+
+def test_right_pinv_runs_the_svd_only_without_a_certificate(monkeypatch):
+    svds = []
+    cond = np.linalg.cond
+
+    def counted(x, *args):
+        svds.append(x.shape)
+        return cond(x, *args)
+
+    # a Gram matrix with cond_2 1 (certified) and 1e16 (accepted by the
+    # SVD); then DBF rows with a repeated row, whose Gram matrix the SVD
+    # finds singular (two rows) or LU cannot invert (four rows)
+    cases = [(4, False, "near", 0.0, 0, ((4, 4),)),
+             (4, False, "near", 8.0, 1, ((4, 4),)),
+             (2, True, "repeated", 0.0, 1, (RankDeficiencyError, "inf")),
+             (4, True, "repeated", 0.0, 1, (RankDeficiencyError, "None"))]
+    for n, wide, kind, log_cond, svd_runs, outcome in cases:
+        a = _aggregate(n, wide, kind, log_cond, -5, 3)
+        want = _pinv_outcome(_svd_guarded_pinv, a)
+        svds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cond", counted)
+            assert _pinv_outcome(precoder._right_pinv, a) == want
+        assert len(svds) == svd_runs
+        assert want[:len(outcome)] == outcome

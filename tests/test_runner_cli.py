@@ -11,14 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmwsim import runner
+from mmwsim import cli, runner
 from mmwsim.allocation import AllocMode, allocate, build_candidates
 from mmwsim.beamsweep import combined_rows
 from mmwsim.channel import assemble_channel
 from mmwsim.cli import main
 from mmwsim.codebook import default_full_codebook, estimation_grid
 from mmwsim.csi import quantize_paths
-from mmwsim.metrics import column_powers
+from mmwsim.metrics import column_powers, dropped_report, summarize
 from mmwsim.runner import (RECORD_FIELDS, desk_scale_config, emit,
                            prepare_realization, run_campaign, run_realization)
 from mmwsim.scenario import NetworkConfig
@@ -248,6 +248,36 @@ def test_cli_oracle_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "oracle" in out
+
+
+def test_cli_oracle_check_compares_the_summary_totals(tmp_path, monkeypatch,
+                                                     capsys):
+    # the verdict reads each run's summary total, plain additions in UE
+    # order: a compensated sum (built-in sum from Python 3.12 on) in its
+    # place would see the heuristic beat the oracle by more than 1e-6 b/s
+    ulp = math.ulp(1e10)
+    oracle = [1e10 + 2 * ulp]
+    heuristic = [1e10] + [0.4 * ulp] * 10
+    assert math.fsum(heuristic) > oracle[0] + 1e-6
+    cfg = NetworkConfig()
+
+    def run(ctx, mode, cfg_, realization):
+        reports = []
+        for ue, rate in enumerate(oracle if mode is AllocMode.ORACLE
+                                  else heuristic):
+            reports.append(dropped_report(ue, cfg.noise_w))
+            reports[-1].rate_bps = rate
+        return runner.RealizationResult(realization, mode, None, reports,
+                                        summarize(reports, cfg))
+
+    monkeypatch.setattr(runner, "prepare_realization", lambda cfg_, r: None)
+    monkeypatch.setattr(runner, "run_realization", run)
+    monkeypatch.setattr(cli, "sum", lambda xs, start=0: math.fsum(xs) + start,
+                        raising=False)
+    rc = main(["oracle-check", "--config", _write_cfg(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "VIOLATED" not in out and out.count(" ok") == 3
 
 
 def test_trace_file_round_trip(tmp_path):
