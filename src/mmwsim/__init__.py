@@ -9,12 +9,11 @@ from .channel import (MultiPanelChannel, Paths, assemble_channel,
 from .codebook import (EstimationGrid, FullCodebook, default_full_codebook,
                        estimation_grid, resolution)
 from .csi import quantize_paths
-from .errors import (CapacityError, ConfigurationError,
-                     DimensionMismatchError, GuardRailError,
-                     RankDeficiencyError, SimError, TraceParseError,
-                     TraceReferenceError)
+from .errors import (ConfigurationError, DimensionMismatchError,
+                     GuardRailError, RankDeficiencyError, SimError,
+                     TraceParseError, TraceReferenceError)
 from .metrics import (LinkReport, network_report, summarize, throughput)
-from .precoder import GnbPrecoderState, rf_stage, zf_stage
+from .precoder import GnbPrecoderState, zf_stage
 from .runner import (CampaignResult, desk_scale_config, emit, run_campaign)
 from .scenario import (Deployment, NetworkConfig, apply_overrides,
                        generate_deployment, load_config)

@@ -15,11 +15,10 @@ import numpy as np
 from . import metrics
 from .beamsweep import BeamPairLink, Sweep
 from .codebook import N_SEC, FullCodebook
-from .errors import CapacityError, GuardRailError, RankDeficiencyError
+from .errors import GuardRailError, RankDeficiencyError
 # unused here: perfbench/tracing.py counts the kernel's calls by this name too
 from .metrics import column_powers  # noqa: F401
-from .precoder import (GnbPrecoderState, compose, dbf_from_rows, rf_stage,
-                       zf_stage)
+from .precoder import GnbPrecoderState, dbf_from_rows, zf_stage
 from .scenario import NetworkConfig
 
 
@@ -46,9 +45,7 @@ class Allocation:
 
     serving: dict                    # ue -> BeamPairLink
     per_gnb: dict                    # gnb -> ordered served UE list
-    mode: AllocMode
     states: dict = field(default_factory=dict)        # gnb -> GnbPrecoderState
-    initial_gnbs: dict = field(default_factory=dict)  # ue -> initial-association gNB
 
 
 @dataclass
@@ -65,6 +62,11 @@ class AllocationInputs:
     est_rows: dict                   # same, against the estimated channels;
                                      # a pair may be built on first read
     gnb_book: FullCodebook
+
+    @property
+    def initial_gnbs(self) -> dict:
+        """ue -> initial-association gNB, that of its strongest swept BPL."""
+        return {u: int(c.gnb[0]) for u, c in self.sweeps.items() if len(c)}
 
 
 def candidate_ranks(sweep_result: Sweep, n_csi_rs) -> tuple:
@@ -113,23 +115,22 @@ def gnb_precoder_state(inputs: AllocationInputs, gnb: int, ues: list,
 
     HBF fixes one RF column per UE to its serving beam and zero-forces the
     effective channel w_c^H H_hat W_RF; DBF zero-forces the rows directly.
-    Raises CapacityError or RankDeficiencyError when the set is infeasible.
+    The caller has checked that the set is non-empty and fits its RF
+    chains; raises RankDeficiencyError when it cannot be zero-forced.
     """
     bpls = [serving[u] for u in ues]
     est = np.array([inputs.est_rows[(u, gnb)][b.ue_beam]
                     for u, b in zip(ues, bpls)])
     if use_dbf:
-        w_rf = w_bb = None
         w = dbf_from_rows(est, ues)
     else:
-        w_rf = rf_stage(bpls, inputs.gnb_book, inputs.cfg.n_rf_gnb_sec)
+        w_rf = inputs.gnb_book.matrix.take([b.gnb_beam for b in bpls], axis=1)
         # a stack of one-row products, each a gemv as ``row @ w_rf`` is: a
         # single (n, 4 n_t) @ w_rf gemm changes the bits
         hbar = np.matmul(est[:, None, :], w_rf)[:, 0, :]
-        w_bb = zf_stage(hbar, ues, w_rf)
-        w = compose(w_rf, w_bb)
-    return GnbPrecoderState(gnb=gnb, served=list(ues), w_rf=w_rf, w_bb=w_bb,
-                            w_combined=w, p_per_ue=inputs.cfg.p_max_w / len(ues))
+        w = w_rf @ zf_stage(hbar, ues, w_rf)
+    return GnbPrecoderState(served=list(ues), w_combined=w,
+                            p_per_ue=inputs.cfg.p_max_w / len(ues))
 
 
 # relative slack on the oracle's bounds: a unit-norm column is unit-norm,
@@ -163,7 +164,6 @@ class _Engine:
         self.noise = cfg.noise_w
         self.p_max = cfg.p_max_w
         self.sinr_min_lin = 10 ** (cfg.sinr_min_db / 10.0)
-        self.n_rf_total = 4 * cfg.n_t if use_dbf else cfg.n_rf_gnb
         self.serving: dict[int, BeamPairLink] = {}
         self.per_gnb: dict[int, list[int]] = {g: [] for g in range(inputs.n_gnbs)}
         self.states: dict[int, Optional[GnbPrecoderState]] = {
@@ -187,10 +187,10 @@ class _Engine:
         return bpl.gnb, self._panel_of[bpl.gnb_beam]
 
     def capacity_ok(self, bpl: BeamPairLink) -> bool:
-        if len(self.per_gnb[bpl.gnb]) + 1 > self.n_rf_total:
-            return False
+        """Whether ``bpl``'s gNB has an RF chain free on its panel (HBF) or
+        an antenna free (DBF): the engine's only check before a build."""
         if self.use_dbf:
-            return True
+            return len(self.per_gnb[bpl.gnb]) + 1 <= 4 * self.inputs.cfg.n_t
         return (self._panel_load[self._panel(bpl)] + 1
                 <= self.inputs.cfg.n_rf_gnb_sec)
 
@@ -198,7 +198,7 @@ class _Engine:
 
     def _gnb_powers(self, g: int, ues: list, serving: dict) -> tuple:
         """Precoder of gNB ``g`` for ``ues`` (their BPLs in ``serving``) and
-        each member's (signal, intra) power; raises Capacity/RankDeficiency."""
+        each member's (signal, intra) power; raises RankDeficiencyError."""
         state = gnb_precoder_state(self.inputs, g, ues, serving, self.use_dbf)
         rows = np.array([self.inputs.true_rows[(u, g)][serving[u].ue_beam]
                          for u in ues])
@@ -374,7 +374,7 @@ class _Engine:
         try:
             state, powers = self._gnb_powers(g, members + [ue],
                                              {**self.serving, ue: bpl})
-        except (RankDeficiencyError, CapacityError):
+        except RankDeficiencyError:
             return None
         own = self._sinr(powers[ue], self._inter_seen(bpl))
         # the caller keeps only a feasible candidate above its incumbent
@@ -417,7 +417,7 @@ class _Engine:
             try:
                 built = self._gnb_powers(g, self.per_gnb[g] + [ue],
                                          {**self.serving, ue: bpl})
-            except (RankDeficiencyError, CapacityError):
+            except RankDeficiencyError:
                 return False
         state, powers = built
         self.serving[ue] = bpl
@@ -458,14 +458,12 @@ class _Engine:
                                    key=lambda u: (self.serving[u].rsrp, -u)))
             self._apply(g, state, powers)
 
-    def to_allocation(self, mode: AllocMode, initial_gnbs: dict) -> Allocation:
+    def to_allocation(self) -> Allocation:
         return Allocation(serving=dict(self.serving),
                           per_gnb={g: list(l) for g, l in self.per_gnb.items()
                                    if l},
-                          mode=mode,
                           states={g: s for g, s in self.states.items()
-                                  if s is not None},
-                          initial_gnbs=initial_gnbs)
+                                  if s is not None})
 
 
 def _ue_order(sweeps: dict) -> list:
@@ -473,10 +471,6 @@ def _ue_order(sweeps: dict) -> list:
     covered = [(u, float(c.rsrp[0])) for u, c in sweeps.items() if len(c)]
     covered.sort(key=lambda t: (-t[1], t[0]))
     return [u for u, _ in covered]
-
-
-def _initial_gnbs(sweeps: dict) -> dict:
-    return {u: int(c.gnb[0]) for u, c in sweeps.items() if len(c)}
 
 
 def allocate_5gnr(inputs: AllocationInputs,
@@ -488,7 +482,6 @@ def allocate_5gnr(inputs: AllocationInputs,
     """
     mode = AllocMode.DBF_5GNR if use_dbf else AllocMode.FIVEG_NR
     engine = _Engine(inputs, use_dbf=use_dbf)
-    initial = _initial_gnbs(inputs.sweeps)
     for ue in _ue_order(inputs.sweeps):
         cands = build_candidates(inputs, ue, mode)
         # the new admission reshapes its gNB's precoder and radiates into
@@ -496,7 +489,7 @@ def allocate_5gnr(inputs: AllocationInputs,
         # dropped immediately and never revisited
         if engine.commit(cands.bpls[0]):
             engine.drop_below_threshold()
-    return engine.to_allocation(mode, initial)
+    return engine.to_allocation()
 
 
 def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
@@ -528,7 +521,6 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
         raise ValueError(f"allocate_iaba expects an IABA mode, got {mode}")
     network_wide = mode is AllocMode.CIABA
     engine = _Engine(inputs, use_dbf=False)
-    initial = _initial_gnbs(inputs.sweeps)
     for ue in _ue_order(inputs.sweeps):
         cands = build_candidates(inputs, ue, mode)
         best = None                      # (bpl, (precoder, powers))
@@ -570,7 +562,7 @@ def allocate_iaba(inputs: AllocationInputs, mode: AllocMode) -> Allocation:
         if best is not None:
             engine.commit(*best)
     engine.drop_below_threshold()
-    return engine.to_allocation(mode, initial)
+    return engine.to_allocation()
 
 
 ORACLE_MAX_UES = 6
@@ -591,7 +583,6 @@ def allocate_oracle(inputs: AllocationInputs) -> Allocation:
         raise GuardRailError(f"oracle limited to {ORACLE_MAX_GNBS} gNBs")
     if inputs.n_ues > ORACLE_MAX_UES:
         raise GuardRailError(f"oracle limited to {ORACLE_MAX_UES} UEs")
-    initial = _initial_gnbs(inputs.sweeps)
     options: list[list] = []
     ue_ids = sorted(inputs.sweeps)
     for ue in ue_ids:
@@ -611,8 +602,7 @@ def allocate_oracle(inputs: AllocationInputs) -> Allocation:
     # gnb_precoder_state is deterministic: these are the precoders scored
     states = {g: gnb_precoder_state(inputs, g, ues, serving, use_dbf=False)
               for g, ues in per_gnb.items()}
-    return Allocation(serving=serving, per_gnb=per_gnb, mode=AllocMode.ORACLE,
-                      states=states, initial_gnbs=initial)
+    return Allocation(serving=serving, per_gnb=per_gnb, states=states)
 
 
 class _OracleScorer:
@@ -712,8 +702,8 @@ class _OracleScorer:
 
     def _gnb_bound(self, members: list) -> Optional[float]:
         """Bound on the summed throughput of the (UE, option) ``members``
-        one gNB serves so far; None when they already fail ``rf_stage``
-        (a panel over its RF chains) or a UE's threshold.
+        one gNB serves so far; None when a panel is over its RF chains, the
+        oracle's only RF-chain check, or a UE cannot reach its threshold.
 
         Interference is never negative and a gNB's load only grows, so a
         member's throughput is at most its ``ceiling`` at the present load.
@@ -790,7 +780,7 @@ class _OracleScorer:
         try:
             state = gnb_precoder_state(self.inputs, gnb, ues, serving,
                                        use_dbf=False)
-        except (CapacityError, RankDeficiencyError):
+        except RankDeficiencyError:
             return None
         powers, own = metrics.gnb_powers(
             state, self.stack[gnb], [self.row[i][k] for i, k in members])
@@ -798,7 +788,8 @@ class _OracleScorer:
         return array("d", powers.tolist()), array("d", own.tolist())
 
     def rate(self, choice: tuple) -> Optional[float]:
-        """Sum throughput of one complete assignment, None if infeasible."""
+        """Sum throughput of one complete assignment, None if infeasible;
+        a gNB's members are first checked as the search checks them."""
         members = [[] for _ in range(self.inputs.n_gnbs)]
         codes = [0] * self.inputs.n_gnbs
         for i, k in enumerate(choice):
@@ -806,6 +797,8 @@ class _OracleScorer:
             if g >= 0:
                 members[g].append((i, k))
                 codes[g] += self.mark[i][k]
+        if None in map(self._gnb_bound, members):
+            return None
         return self._rate(choice, members, codes, -math.inf)
 
     def _rate(self, choice, members: list, codes: list,
@@ -920,7 +913,7 @@ def allocate_cbf_tdma(inputs: AllocationInputs) -> tuple[Allocation, list]:
     allocation, without precoder states, and its per-UE link reports.
     """
     cfg = inputs.cfg
-    initial = _initial_gnbs(inputs.sweeps)
+    initial = inputs.initial_gnbs
     serving = {}
     per_gnb: dict[int, list[int]] = {g: [] for g in range(inputs.n_gnbs)}
     for ue, swept in sorted(inputs.sweeps.items()):
@@ -930,7 +923,7 @@ def allocate_cbf_tdma(inputs: AllocationInputs) -> tuple[Allocation, list]:
 
     while True:
         averaged = {g: GnbPrecoderState(
-            gnb=g, served=ues, w_rf=None, w_bb=None, w_combined=(
+            served=ues, w_combined=(
                 inputs.gnb_book.matrix[:, [serving[u].gnb_beam for u in ues]]),
             p_per_ue=cfg.p_max_w / len(ues))
             for g, ues in per_gnb.items() if ues}
@@ -951,9 +944,7 @@ def allocate_cbf_tdma(inputs: AllocationInputs) -> tuple[Allocation, list]:
             per_gnb[serving.pop(u).gnb].remove(u)
 
     alloc = Allocation(serving=serving,
-                       per_gnb={g: l for g, l in per_gnb.items() if l},
-                       mode=AllocMode.CBF_TDMA, states={},
-                       initial_gnbs=initial)
+                       per_gnb={g: l for g, l in per_gnb.items() if l})
     return alloc, [reports.get(ue) or metrics.dropped_report(ue, cfg.noise_w)
                    for ue in range(inputs.n_ues)]
 

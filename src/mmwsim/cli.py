@@ -7,6 +7,7 @@ failures during a simulation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
@@ -69,6 +70,12 @@ def cmd_simulate(args) -> int:
     if args.realizations is not None:
         cfg = apply_overrides(cfg, n_realizations=args.realizations)
     modes = _parse_modes(args.alloc)
+    # before the campaign: an unusable --out must not cost a whole run
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory "
+                                 f"{args.out}: {exc.strerror}") from exc
     result = run_campaign(cfg, modes)
     paths = emit(result, args.out)
     for mode in modes:

@@ -25,10 +25,6 @@ class DimensionMismatchError(SimError):
     """Operands do not conform (contract violation)."""
 
 
-class CapacityError(SimError):
-    """Served UE set exceeds the RF-chain budget of a gNB or panel."""
-
-
 class RankDeficiencyError(SimError):
     """Aggregate effective channel is singular or too ill-conditioned to invert.
 

@@ -94,7 +94,8 @@ def throughput(sinr_db: float, cfg: NetworkConfig) -> float:
 
 
 def evaluate_allocation(serving: dict, states: dict, rows: dict) -> dict:
-    """Signal and interference powers of every allocated UE.
+    """Signal and interference powers of every allocated UE; ``states``
+    holds the precoder of each gNB that serves a UE, and only those.
 
     Returns ue -> (rss_w, i_intra_w, i_inter_w).  A UE's inter-cell terms
     are added in ascending gNB order from 0.0, as the allocation engine
@@ -105,8 +106,6 @@ def evaluate_allocation(serving: dict, states: dict, rows: dict) -> dict:
     out = {u: [0.0, 0.0, 0.0] for u in ues}
     for g in sorted(states):
         state = states[g]
-        if state is None or not state.served:
-            continue
         stacked = np.vstack([rows[(u, g)][serving[u].ue_beam] for u in ues])
         sums, own = gnb_powers(state, stacked, [idx[u] for u in state.served])
         sums = sums.tolist()

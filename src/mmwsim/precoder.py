@@ -1,5 +1,5 @@
-"""Two-stage hybrid precoding (RF beam selection + zero-forcing baseband)
-and the fully digital reference precoder."""
+"""Zero-forcing baseband stage of hybrid precoding, over the RF beams the
+allocators fix, and the fully digital reference precoder."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codebook import FullCodebook
-from .errors import CapacityError, DimensionMismatchError, RankDeficiencyError
+from .errors import DimensionMismatchError, RankDeficiencyError
 
 COND_LIMIT = 1e12
 # cond_F of the Gram matrix up to which its computed inverse certifies the
@@ -21,30 +20,13 @@ _CERTIFIED_COND = 1e12
 class GnbPrecoderState:
     """Finalized precoder of one gNB for its ordered served-UE list."""
 
-    gnb: int
     served: list                      # UE ids, column order
-    w_rf: Optional[np.ndarray]        # (4 n_t, n_u); None for DBF
-    w_bb: Optional[np.ndarray]        # (n_u, n_u) normalized; None for DBF
     w_combined: np.ndarray            # (4 n_t, n_u), unit-norm columns
     p_per_ue: float                   # W; p_max equally shared
 
     @property
     def n_served(self) -> int:
         return len(self.served)
-
-
-def rf_stage(serving_bpls: list, gnb_book: FullCodebook,
-             n_rf_sec: int) -> np.ndarray:
-    """First stage: one full-array column per served UE, fixed to its serving beam."""
-    panels = [int(gnb_book.panel[b.gnb_beam]) for b in serving_bpls]
-    for p in range(4):
-        count = panels.count(p)
-        if count > n_rf_sec:
-            raise CapacityError(
-                f"panel {p} would serve {count} UEs with only {n_rf_sec} RF chains")
-    if not serving_bpls:
-        raise CapacityError("RF stage needs at least one served UE")
-    return gnb_book.matrix.take([b.gnb_beam for b in serving_bpls], axis=1)
 
 
 def _right_pinv(aggregate: np.ndarray, ues: list) -> np.ndarray:
@@ -97,14 +79,6 @@ def zf_stage(hbar: np.ndarray, ues: list,
             raise RankDeficiencyError(ues)
         w_bb = w_bb / norms[None, :]
     return w_bb
-
-
-def compose(w_rf: np.ndarray, w_bb: np.ndarray) -> np.ndarray:
-    """Combined per-UE precoding columns W_RF @ W_BB."""
-    if w_rf.shape[1] != w_bb.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot compose {w_rf.shape} with {w_bb.shape}")
-    return w_rf @ w_bb
 
 
 def dbf_from_rows(rows: np.ndarray, ues: list) -> np.ndarray:

@@ -181,7 +181,7 @@ def run_realization(ctx: RealizationContext, mode: AllocMode,
         alloc = allocate(ctx.inputs, mode)
         reports, summary = network_report(
             alloc.serving, alloc.states, ctx.inputs.true_rows, cfg,
-            ctx.dep.n_ues, alloc.initial_gnbs)
+            ctx.dep.n_ues, ctx.inputs.initial_gnbs)
     return RealizationResult(realization=realization, mode=mode,
                              allocation=alloc, reports=reports,
                              summary=summary)

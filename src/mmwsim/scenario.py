@@ -318,10 +318,14 @@ def config_from_mapping(data: dict) -> NetworkConfig:
 def load_config(path: str, overrides: Optional[list[str]] = None) -> NetworkConfig:
     """Load a YAML configuration file, then apply ``key=value`` overrides."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = yaml.safe_load(fh) or {}
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"config file {path} is not UTF-8 text: {exc.reason}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -1,16 +1,21 @@
 """Shared builders for constructed allocation scenarios."""
 
+import itertools
 import math
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmwsim.allocation import AllocationInputs
+from mmwsim.allocation import (AllocationInputs, AllocMode, build_candidates,
+                               gnb_precoder_state)
 from mmwsim.channel import Paths
-from mmwsim.errors import CapacityError, RankDeficiencyError
-from mmwsim.runner import build_inputs
-from mmwsim.scenario import NetworkConfig
+from mmwsim.errors import RankDeficiencyError
+from mmwsim.metrics import evaluate_allocation, throughput
+from mmwsim.runner import build_inputs, prepare_realization
+from mmwsim.scenario import NetworkConfig, load_config
 
 ORIENT = np.array([0.0, 90.0, 180.0, 270.0])
 
@@ -60,6 +65,48 @@ def small_instance(seed: int) -> AllocationInputs:
     return make_inputs(cfg, pairs, n_gnbs, n_ues)
 
 
+def panel_loads(serving: dict, cfg: NetworkConfig) -> Counter:
+    """(gnb, panel) -> number of UEs ``serving`` puts on it, counted from
+    the beam ids, which are panel-major."""
+    per_panel = 2 ** cfg.n_q_sweep_bits
+    return Counter((b.gnb, b.gnb_beam // per_panel) for b in serving.values())
+
+
+def one_rf_chain_instance() -> AllocationInputs:
+    """configs/tiny.yaml at seed 1, realization 6 (2 gNBs, 4 UEs) with one
+    RF chain per panel.  Asserts that the assignment of monitored
+    candidates with the highest sum throughput among those that pass ZF
+    and the threshold puts two UEs on one panel, so a search that lost its
+    RF-chain check would find another winner."""
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs"
+                          / "tiny.yaml"), ["seed=1", "n_rf_gnb_sec=1"])
+    inputs = prepare_realization(cfg, 6).inputs
+    thresh = 10 ** (cfg.sinr_min_db / 10.0)
+    ue_ids = sorted(inputs.sweeps)
+    options = [build_candidates(inputs, u, AllocMode.CIABA).bpls + [None]
+               for u in ue_ids]
+    best = {False: 0.0, True: 0.0}     # over budget -> best sum throughput
+    for combo in itertools.product(*options):
+        serving = {u: b for u, b in zip(ue_ids, combo) if b is not None}
+        per_gnb: dict = {}
+        for u, b in serving.items():
+            per_gnb.setdefault(b.gnb, []).append(u)
+        try:
+            states = {g: gnb_precoder_state(inputs, g, ues, serving, False)
+                      for g, ues in per_gnb.items()}
+        except RankDeficiencyError:
+            continue
+        sinrs = [s / (ia + ie + cfg.noise_w) for s, ia, ie in
+                 evaluate_allocation(serving, states,
+                                     inputs.true_rows).values()]
+        if all(s >= thresh for s in sinrs):
+            over = max(panel_loads(serving, cfg).values(), default=0) > 1
+            best[over] = max(best[over], sum(
+                throughput(10.0 * math.log10(s), cfg) for s in sinrs))
+    assert best[True] > best[False] > 0.0
+    return inputs
+
+
 def own_sinr(engine, bpl):
     """The own SINR ``try_candidate`` computes for ``bpl`` on the engine's
     present state, whatever its floor; None where the full build fails."""
@@ -67,7 +114,7 @@ def own_sinr(engine, bpl):
         _, powers = engine._gnb_powers(bpl.gnb,
                                        engine.per_gnb[bpl.gnb] + [bpl.ue],
                                        {**engine.serving, bpl.ue: bpl})
-    except (RankDeficiencyError, CapacityError):
+    except RankDeficiencyError:
         return None
     return engine._sinr(powers[bpl.ue], engine._inter_seen(bpl))
 

@@ -18,14 +18,14 @@ from mmwsim.allocation import (AllocMode, allocate, allocate_oracle,
                                build_candidates)
 from mmwsim.codebook import resolution
 from mmwsim.csi import snap_azimuth, snap_elevation
-from mmwsim.errors import CapacityError, RankDeficiencyError
+from mmwsim.errors import RankDeficiencyError
 from mmwsim.metrics import column_powers, network_report, throughput
-from mmwsim.precoder import compose, rf_stage, zf_stage
+from mmwsim.precoder import zf_stage
 from mmwsim.runner import (desk_scale_config, emit, prepare_realization,
                            run_campaign, run_realization)
 from mmwsim.scenario import NetworkConfig
 
-from conftest import small_instance
+from conftest import one_rf_chain_instance, panel_loads, small_instance
 
 RESULT_LINES: list = []
 
@@ -153,23 +153,23 @@ def _enumerate_best(inputs) -> float:
     best = 0.0
     for combo in itertools.product(*options):
         serving = {u: b for u, b in zip(ue_ids, combo) if b is not None}
+        if max(panel_loads(serving, cfg).values(),
+               default=0) > cfg.n_rf_gnb_sec:
+            continue
         per_gnb: dict = {}
         for u, b in serving.items():
             per_gnb.setdefault(b.gnb, []).append(u)
         states = {}
         feasible = True
         for g, ues in per_gnb.items():
-            if len(ues) > cfg.n_rf_gnb:
-                feasible = False
-                break
             try:
-                bpls = [serving[u] for u in ues]
-                w_rf = rf_stage(bpls, inputs.gnb_book, cfg.n_rf_gnb_sec)
+                beams = [serving[u].gnb_beam for u in ues]
+                w_rf = inputs.gnb_book.matrix.take(beams, axis=1)
                 hbar = np.vstack([
                     inputs.est_rows[(u, g)][serving[u].ue_beam] @ w_rf
                     for u in ues])
-                w = compose(w_rf, zf_stage(hbar, ues, w_rf))
-            except (CapacityError, RankDeficiencyError):
+                w = w_rf @ zf_stage(hbar, ues, w_rf)
+            except RankDeficiencyError:
                 feasible = False
                 break
             states[g] = (w, cfg.p_max_w / len(ues), list(ues))
@@ -199,13 +199,13 @@ def _enumerate_best(inputs) -> float:
 def test_criterion_4_oracle_dominance():
     t0 = time.perf_counter()
     worst_gap = 0.0
-    for seed in range(50):
-        inputs = small_instance(seed)
+    cases = [small_instance(seed) for seed in range(50)]
+    for seed, inputs in enumerate(cases + [one_rf_chain_instance()]):
         oracle = allocate_oracle(inputs)
         o_reports, _ = network_report(
             oracle.serving, oracle.states,
             inputs.true_rows, inputs.cfg, inputs.n_ues,
-            oracle.initial_gnbs)
+            inputs.initial_gnbs)
         o_rate = sum(r.rate_bps for r in o_reports)
         naive = _enumerate_best(inputs)
         assert o_rate == pytest.approx(naive, rel=1e-9, abs=1e-3), \
@@ -215,7 +215,7 @@ def test_criterion_4_oracle_dominance():
             reports, _ = network_report(
                 alloc.serving, alloc.states,
                 inputs.true_rows, inputs.cfg, inputs.n_ues,
-                alloc.initial_gnbs)
+                inputs.initial_gnbs)
             rate = sum(r.rate_bps for r in reports)
             assert o_rate >= rate - 1e-6, f"seed {seed}: {mode} beat oracle"
             worst_gap = max(worst_gap, rate - o_rate)
@@ -223,7 +223,7 @@ def test_criterion_4_oracle_dominance():
     elapsed = time.perf_counter() - t0
     _report("criterion 4", elapsed < 300.0,
             f"oracle matches enumerator and dominates heuristics over 50 "
-            f"instances ({elapsed:.1f}s)")
+            f"instances and one with an RF chain per panel ({elapsed:.1f}s)")
 
 
 # 5 -- constraint satisfaction ---------------------------------------------------
@@ -234,7 +234,7 @@ def _check_constraints(alloc, inputs, mode) -> list:
     errs = []
     reports, _ = network_report(alloc.serving, alloc.states,
                                 inputs.true_rows, cfg, inputs.n_ues,
-                                alloc.initial_gnbs)
+                                inputs.initial_gnbs)
     for r in reports:
         if r.served and r.sinr_db < cfg.sinr_min_db - 1e-9:
             errs.append(f"17a: ue {r.ue} at {r.sinr_db:.2f} dB")

@@ -10,19 +10,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_inputs, own_sinr, path, small_instance
+from conftest import (make_inputs, one_rf_chain_instance, own_sinr,
+                      panel_loads, path, small_instance)
 from mmwsim import allocation
 from mmwsim.allocation import (ORACLE_MAX_CANDIDATES, AllocMode, Allocation,
-                               _initial_gnbs, allocate, allocate_5gnr,
+                               allocate, allocate_5gnr,
                                allocate_cbf_tdma, allocate_iaba,
                                allocate_oracle, build_candidates,
                                candidate_ranks, gnb_precoder_state)
 from mmwsim.beamsweep import BeamPairLink, Sweep
 from mmwsim.codebook import default_full_codebook
-from mmwsim.errors import CapacityError, GuardRailError, RankDeficiencyError
+from mmwsim.errors import GuardRailError, RankDeficiencyError
 from mmwsim.metrics import (column_powers, evaluate_allocation, network_report,
                             throughput)
-from mmwsim.precoder import compose, rf_stage, zf_stage
+from mmwsim.precoder import zf_stage
 from mmwsim.runner import desk_scale_config, prepare_realization
 from mmwsim.scenario import NetworkConfig, load_config
 
@@ -112,7 +113,7 @@ def test_build_candidates_match_per_bpl_dedup_loop(tiny_cfg):
         tied = inputs.sweeps[0]
         assert np.any((tied.rsrp[1:] == tied.rsrp[:-1]) &
                       (tied.gnb[1:] != tied.gnb[:-1]))
-        initial = _initial_gnbs(inputs.sweeps)
+        initial = inputs.initial_gnbs
         for ue, sw in inputs.sweeps.items():
             bpls = list(sw)
             assert bpls and initial[ue] == bpls[0].gnb
@@ -197,7 +198,7 @@ def test_single_ue_served_on_best_beam(tiny_cfg):
     assert alloc.serving[0].candidate_rank == 1
     reports, summary = network_report(alloc.serving, alloc.states,
                                       inputs.true_rows, tiny_cfg, 1,
-                                      alloc.initial_gnbs)
+                                      inputs.initial_gnbs)
     assert summary["coverage"] == 1.0
     # no interference of any kind: SINR equals SNR
     assert reports[0].sinr_db == pytest.approx(reports[0].snr_db)
@@ -355,20 +356,20 @@ def _naive_oracle(inputs):
         per_gnb = {}
         for u, b in serving.items():
             per_gnb.setdefault(b.gnb, []).append(u)
+        if max(panel_loads(serving, cfg).values(),
+               default=0) > cfg.n_rf_gnb_sec:
+            continue
         ok = True
         states = {}
         for g, ues in per_gnb.items():
-            if len(ues) > cfg.n_rf_gnb:
-                ok = False
-                break
             try:
-                bpls = [serving[u] for u in ues]
-                w_rf = rf_stage(bpls, inputs.gnb_book, cfg.n_rf_gnb_sec)
+                beams = [serving[u].gnb_beam for u in ues]
+                w_rf = inputs.gnb_book.matrix.take(beams, axis=1)
                 hbar = np.vstack([
                     inputs.est_rows[(u, g)][serving[u].ue_beam] @ w_rf
                     for u in ues])
                 w_bb = zf_stage(hbar, ues, w_rf)
-                states[g] = (compose(w_rf, w_bb), cfg.p_max_w / len(ues), ues)
+                states[g] = (w_rf @ w_bb, cfg.p_max_w / len(ues), ues)
             except Exception:
                 ok = False
                 break
@@ -412,12 +413,12 @@ def _small_random_inputs(tiny_cfg, seed, n_gnbs=2, n_ues=3, n_csi_rs=3.0):
 
 
 def test_oracle_matches_naive_enumerator(tiny_cfg):
-    for seed in range(6):
-        inputs = _small_random_inputs(tiny_cfg, seed)
+    cases = [_small_random_inputs(tiny_cfg, seed) for seed in range(6)]
+    for inputs in cases + [one_rf_chain_instance()]:
         alloc = allocate_oracle(inputs)
         reports, _ = network_report(alloc.serving, alloc.states,
                                     inputs.true_rows, inputs.cfg,
-                                    inputs.n_ues, alloc.initial_gnbs)
+                                    inputs.n_ues, inputs.initial_gnbs)
         got = sum(r.rate_bps for r in reports)
         want, _ = _naive_oracle(inputs)
         assert got == pytest.approx(max(want, 0.0), rel=1e-9, abs=1e-3)
@@ -429,13 +430,13 @@ def test_oracle_dominates_heuristics(tiny_cfg):
         oracle = allocate_oracle(inputs)
         o_reports, _ = network_report(oracle.serving, oracle.states,
                                       inputs.true_rows, inputs.cfg,
-                                      inputs.n_ues, oracle.initial_gnbs)
+                                      inputs.n_ues, inputs.initial_gnbs)
         o_rate = sum(r.rate_bps for r in o_reports)
         for mode in (AllocMode.FIVEG_NR, AllocMode.DIABA, AllocMode.CIABA):
             alloc = allocate(inputs, mode)
             reports, _ = network_report(alloc.serving, alloc.states,
                                         inputs.true_rows, inputs.cfg,
-                                        inputs.n_ues, alloc.initial_gnbs)
+                                        inputs.n_ues, inputs.initial_gnbs)
             assert o_rate >= sum(r.rate_bps for r in reports) - 1e-6
         assert o_rate >= 0.0
 
@@ -494,10 +495,13 @@ def _reference_oracle(inputs):
                 serving[u] = b
                 per_gnb.setdefault(b.gnb, []).append(u)
         rates.append(None)
+        if max(panel_loads(serving, cfg).values(),
+               default=0) > cfg.n_rf_gnb_sec:
+            continue
         try:
             states = {g: gnb_precoder_state(inputs, g, ues, serving, False)
                       for g, ues in per_gnb.items()}
-        except (CapacityError, RankDeficiencyError):
+        except RankDeficiencyError:
             continue
         powers = evaluate_allocation(serving, states, inputs.true_rows)
         total = 0.0
@@ -511,22 +515,18 @@ def _reference_oracle(inputs):
             if total > best_rate:
                 best_rate, best = total, (serving, per_gnb, states)
     serving, per_gnb, states = best
-    return Allocation(serving=serving, per_gnb=per_gnb, mode=AllocMode.ORACLE,
-                      states=states, initial_gnbs=_initial_gnbs(inputs.sweeps)
-                      ), rates
+    return Allocation(serving=serving, per_gnb=per_gnb, states=states), rates
 
 
 def _assert_same_allocation(got, want):
     assert got.serving == want.serving
     assert got.per_gnb == want.per_gnb
-    assert got.initial_gnbs == want.initial_gnbs
     assert list(got.states) == list(want.states)
     for g, w in want.states.items():
         s = got.states[g]
         assert s.served == w.served
         assert s.p_per_ue == w.p_per_ue
-        for name in ("w_rf", "w_bb", "w_combined"):
-            assert np.array_equal(getattr(s, name), getattr(w, name))
+        assert np.array_equal(s.w_combined, w.w_combined)
 
 
 def _assert_oracle_matches_reference(inputs):
@@ -540,8 +540,10 @@ def _assert_oracle_matches_reference(inputs):
     return want
 
 
-def _tiny_inputs(seed: int, realization: int):
-    cfg = load_config(str(ROOT / "configs" / "tiny.yaml"), [f"seed={seed}"])
+def _tiny_inputs(seed: int, realization: int, **overrides):
+    cfg = load_config(str(ROOT / "configs" / "tiny.yaml"),
+                      [f"{k}={v}" for k, v in dict(seed=seed,
+                                                   **overrides).items()])
     return prepare_realization(cfg, realization).inputs
 
 
@@ -572,6 +574,7 @@ def test_oracle_matches_per_assignment_reference(monkeypatch):
     assert single_served and rank_deficient
     for seed in range(4):
         _assert_oracle_matches_reference(small_instance(seed))
+    _assert_oracle_matches_reference(one_rf_chain_instance())
 
 
 def test_oracle_builds_each_gnb_sub_assignment_once(monkeypatch):
@@ -927,7 +930,7 @@ class _UnprunedEngine:
             own = self.sinr_lin(ue)
             ok = all(self.sinr_lin(u) >= self.sinr_min_lin for u in checked)
             return own if ok else None
-        except (RankDeficiencyError, CapacityError):
+        except RankDeficiencyError:
             return None
         finally:
             self.serving.pop(ue, None)
@@ -957,7 +960,7 @@ class _UnprunedEngine:
             self.rebuild(bpl.gnb, update_others=True)
             self.init_inter(bpl.ue)
             return True
-        except (RankDeficiencyError, CapacityError):
+        except RankDeficiencyError:
             self.restore(snap)
             return False
 
@@ -984,14 +987,12 @@ class _UnprunedEngine:
                     self.intra.pop(weakest, None)
                     self.inter.pop(weakest, None)
 
-    def to_allocation(self, mode, initial_gnbs):
+    def to_allocation(self):
         return Allocation(serving=dict(self.serving),
                           per_gnb={g: list(l) for g, l in self.per_gnb.items()
                                    if l},
-                          mode=mode,
                           states={g: s for g, s in self.states.items()
-                                  if s is not None},
-                          initial_gnbs=initial_gnbs)
+                                  if s is not None})
 
 
 def _unpruned_iaba(inputs, mode):
@@ -999,7 +1000,6 @@ def _unpruned_iaba(inputs, mode):
     unstaged tentative add."""
     network_wide = mode is AllocMode.CIABA
     engine = _UnprunedEngine(inputs, use_dbf=False)
-    initial = _initial_gnbs(inputs.sweeps)
     for ue in allocation._ue_order(inputs.sweeps):
         cands = build_candidates(inputs, ue, mode)
         best_bpl = None
@@ -1030,14 +1030,15 @@ def _unpruned_iaba(inputs, mode):
             engine.commit(best_bpl)
     # coverage from the from-scratch evaluation the reports use
     while engine.serving:
-        powers = evaluate_allocation(engine.serving, engine.states,
+        powers = evaluate_allocation(engine.serving,
+                                     engine.to_allocation().states,
                                      inputs.true_rows)
         viol = [u for u, (s, ia, ie) in powers.items()
                 if s / (ia + ie + engine.noise) < engine.sinr_min_lin]
         if not viol:
             break
         engine.remove_many(viol)
-    return engine.to_allocation(mode, initial)
+    return engine.to_allocation()
 
 
 def _desk_inputs(**overrides):
@@ -1075,9 +1076,9 @@ def test_engine_sinrs_are_the_reported_sinrs(monkeypatch):
     decided = []
     to_allocation = allocation._Engine.to_allocation
 
-    def recorded(self, mode, initial_gnbs):
+    def recorded(self):
         decided.append({u: self.sinr_lin(u) for u in self.serving})
-        return to_allocation(self, mode, initial_gnbs)
+        return to_allocation(self)
 
     monkeypatch.setattr(allocation._Engine, "to_allocation", recorded)
     cases = [_tiny_inputs(seed, r) for seed, r in TINY_ORACLE_CASES]
@@ -1098,6 +1099,40 @@ def test_engine_sinrs_are_the_reported_sinrs(monkeypatch):
                     differ.append((mode.value, inputs.n_ues, u))
     assert n_served > 400
     assert differ == []
+
+
+@pytest.mark.parametrize("csi", [{}, QUANTIZED_CSI], ids=["exact", "6-bit"])
+def test_every_precoder_build_fits_its_rf_chains(monkeypatch, csi):
+    # the allocators are the only RF-chain check: every set any of them
+    # hands the precoder build is non-empty and fits, one UE per RF chain
+    # of its panel (HBF) or per antenna of its gNB (DBF)
+    modes = (AllocMode.FIVEG_NR, AllocMode.DBF_5GNR, AllocMode.DIABA,
+             AllocMode.CIABA, AllocMode.ORACLE)
+    built = Counter()                  # mode -> precoders built
+    full_panels = 0
+    build = allocation.gnb_precoder_state
+
+    def checked(inputs, gnb, ues, serving, use_dbf):
+        nonlocal full_panels
+        cfg = inputs.cfg
+        assert ues
+        if use_dbf:
+            assert len(ues) <= 4 * cfg.n_t
+        else:
+            loads = panel_loads({u: serving[u] for u in ues}, cfg)
+            assert max(loads.values()) <= cfg.n_rf_gnb_sec
+            full_panels += max(loads.values()) == cfg.n_rf_gnb_sec
+        built[mode] += 1               # the mode the loop below runs
+        return build(inputs, gnb, ues, serving, use_dbf)
+
+    monkeypatch.setattr(allocation, "gnb_precoder_state", checked)
+    cases = [_tiny_inputs(seed, r, **csi) for seed, r in TINY_ORACLE_CASES]
+    for inputs in cases + [_desk_inputs(**csi)]:
+        for mode in modes:
+            if (mode is not AllocMode.ORACLE
+                    or inputs.n_ues <= allocation.ORACLE_MAX_UES):
+                allocate(inputs, mode)
+    assert set(built) == set(modes) and full_panels
 
 
 def test_iaba_bound_holds_and_prunes(monkeypatch):
@@ -1337,7 +1372,8 @@ def test_remove_many_sheds_weakest_on_rank_failure(tiny_cfg, monkeypatch):
     assert engine.states[0].served == [1, 3]
     assert set(engine.sig) == set(engine.intra) == set(engine.inter) == {1, 3}
     assert all(1 not in d for d in engine.inter.values())
-    powers = evaluate_allocation(engine.serving, engine.states,
+    powers = evaluate_allocation(engine.serving,
+                                 engine.to_allocation().states,
                                  inputs.true_rows)
     for u, (s, ia, ie) in powers.items():
         assert engine.sinr_lin(u) == pytest.approx(
@@ -1375,7 +1411,7 @@ def test_cbf_beats_hbf_without_interference(tiny_cfg):
     hbf = allocate(inputs, AllocMode.FIVEG_NR)
     h_reports, _ = network_report(hbf.serving, hbf.states,
                                   inputs.true_rows, tiny_cfg, 2,
-                                  hbf.initial_gnbs)
+                                  inputs.initial_gnbs)
     _, c_reports = allocate_cbf_tdma(inputs)
     for u in range(2):
         assert c_reports[u].sinr_db >= h_reports[u].sinr_db - 1e-9
@@ -1442,7 +1478,7 @@ def test_pair_without_paths_runs_every_mode(tiny_cfg):
             alloc = allocate(inputs, mode)
             reports, _ = network_report(alloc.serving, alloc.states,
                                         inputs.true_rows, cfg, inputs.n_ues,
-                                        alloc.initial_gnbs)
+                                        inputs.initial_gnbs)
         assert [r.ue for r in reports] == [0, 1, 2], mode
         assert {r.ue for r in reports if r.served} == set(alloc.serving)
         # both gNBs transmit, so UE 0 reads its zero rows toward gNB 1

@@ -188,7 +188,7 @@ def test_sinr_bounded_by_snr():
     cfg, pairs, inputs, alloc = _two_gnb_instance()
     reports, _ = network_report(alloc.serving, alloc.states,
                                 inputs.true_rows, cfg, 2,
-                                alloc.initial_gnbs)
+                                inputs.initial_gnbs)
     for r in reports:
         if r.served:
             assert r.sinr_db <= r.snr_db + 1e-9

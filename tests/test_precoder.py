@@ -6,36 +6,15 @@ from mmwsim import precoder
 from mmwsim.allocation import AllocationInputs, gnb_precoder_state
 from mmwsim.beamsweep import BeamPairLink
 from mmwsim.codebook import default_full_codebook
-from mmwsim.errors import (CapacityError, DimensionMismatchError,
-                           RankDeficiencyError)
+from mmwsim.errors import DimensionMismatchError, RankDeficiencyError
 from mmwsim.metrics import BeamRows
-from mmwsim.precoder import (COND_LIMIT, compose, dbf_from_rows, rf_stage,
-                             zf_stage)
+from mmwsim.precoder import COND_LIMIT, dbf_from_rows, zf_stage
 from mmwsim.scenario import NetworkConfig
 
 
 def _bpl(ue, gnb_beam):
     return BeamPairLink(ue=ue, gnb=0, gnb_beam=gnb_beam, ue_beam=0,
                         rsrp=1.0, is_los=True, candidate_rank=1)
-
-
-def test_rf_stage_selects_serving_beam_columns():
-    book = default_full_codebook(2, 16)
-    bpls = [_bpl(0, 1), _bpl(1, 9)]
-    w_rf = rf_stage(bpls, book, n_rf_sec=4)
-    assert w_rf.shape == (64, 2)
-    assert np.array_equal(w_rf[:, 0], book.matrix[:, 1])
-    assert np.array_equal(w_rf[:, 1], book.matrix[:, 9])
-
-
-def test_rf_stage_panel_capacity():
-    book = default_full_codebook(3, 16)
-    bpls = [_bpl(u, u) for u in range(5)]    # five beams on panel 0
-    with pytest.raises(CapacityError):
-        rf_stage(bpls, book, n_rf_sec=4)
-    rf_stage(bpls[:4], book, n_rf_sec=4)
-    with pytest.raises(CapacityError):
-        rf_stage([], book, n_rf_sec=4)
 
 
 def test_zf_stage_frozen_two_user_inverse():
@@ -78,11 +57,6 @@ def test_zf_stage_rank_deficiency():
     assert set(err.value.ues) == {3, 7}
 
 
-def test_compose_dimension_check():
-    with pytest.raises(DimensionMismatchError):
-        compose(np.zeros((8, 2), dtype=complex), np.zeros((3, 3), dtype=complex))
-
-
 def _one_gnb_inputs(rows_of_ue: dict) -> AllocationInputs:
     """One gNB whose UEs each have a single combined row (UE beam 0)."""
     cfg = NetworkConfig(n_t=16, n_r=4, n_q_sweep_bits=2, p_max_dbm=30.0)
@@ -102,7 +76,14 @@ def test_hbf_precoder_end_to_end():
                                use_dbf=False)
     assert state.served == [4, 9]
     assert state.p_per_ue == pytest.approx(0.5)
-    assert np.array_equal(state.w_rf, rf_stage(bpls, inputs.gnb_book, 4))
+    # the RF stage is the serving beams' codebook columns, in served order,
+    # and the baseband stage zero-forces the effective channel through them;
+    # ``take`` gives them in C order (``matrix[:, beams]`` in Fortran order,
+    # whose row-times-matrix products differ in the last bits)
+    w_rf = inputs.gnb_book.matrix.take([1, 6], axis=1)
+    hbar = np.vstack([fulls[4] @ w_rf, fulls[9] @ w_rf])
+    assert (state.w_combined.tobytes()
+            == (w_rf @ zf_stage(hbar, [4, 9], w_rf)).tobytes())
     assert np.allclose(np.linalg.norm(state.w_combined, axis=0), 1.0,
                        atol=1e-12)
     # zero-forcing on the design channel: off-diagonal responses vanish
@@ -117,7 +98,6 @@ def test_dbf_precoder_state_uses_rows_directly():
     fulls = {b.ue: rng.normal(size=64) + 1j * rng.normal(size=64) for b in bpls}
     state = gnb_precoder_state(_one_gnb_inputs(fulls), 0, [0, 1],
                                {0: bpls[0], 1: bpls[1]}, use_dbf=True)
-    assert state.w_rf is None and state.w_bb is None
     assert np.array_equal(state.w_combined,
                           dbf_from_rows(np.vstack([fulls[0], fulls[1]]),
                                         [0, 1]))

@@ -240,6 +240,44 @@ def test_cli_undecodable_trace_file_is_simulation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _assert_config_error(capsys, argv) -> str:
+    """Run the CLI on ``argv``: exit 1 with a one-line configuration error,
+    no traceback; returns stderr."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+def test_cli_config_that_is_a_directory_is_config_error(tmp_path, capsys,
+                                                        command):
+    err = _assert_config_error(capsys, [command, "--config", str(tmp_path)])
+    assert str(tmp_path) in err
+
+
+def test_cli_config_not_utf8_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_bytes(b"n_t: 16\nseed: \xff\xfe\n")
+    _assert_config_error(capsys, ["simulate", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "out")])
+
+
+def test_cli_out_that_is_a_file_fails_before_the_campaign(tmp_path, capsys,
+                                                          monkeypatch):
+    out = tmp_path / "out"
+    out.write_text("")
+    campaigns = []
+    monkeypatch.setattr(cli, "run_campaign",
+                        lambda *args: campaigns.append(args))
+    err = _assert_config_error(capsys, ["simulate", "--config",
+                                        _write_cfg(tmp_path), "--out",
+                                        str(out)])
+    assert str(out) in err
+    assert campaigns == []
+
+
 def test_cli_oracle_check(tmp_path, capsys):
     # tiny scenario inside the exhaustive-search guard rails
     cfg_path = _write_cfg(tmp_path, area_side_m=150.0, ue_density=200.0,
