@@ -67,6 +67,34 @@ def _one_gnb_inputs(rows_of_ue: dict) -> AllocationInputs:
                             gnb_book=default_full_codebook(2, 16))
 
 
+def _span_residual(basis, w):
+    """Largest relative distance of a column of ``w`` from span(basis)."""
+    coef = np.linalg.lstsq(basis, w, rcond=None)[0]
+    return np.max(np.linalg.norm(w - basis @ coef, axis=0)
+                  / np.linalg.norm(w, axis=0))
+
+
+def test_rf_stage_selects_serving_beam_columns():
+    bpls = [_bpl(0, 1), _bpl(1, 9)]
+    rng = np.random.default_rng(6)
+    fulls = {b.ue: rng.normal(size=64) + 1j * rng.normal(size=64) for b in bpls}
+    inputs = _one_gnb_inputs(fulls)
+    book = inputs.gnb_book.matrix
+    serving = {0: bpls[0], 1: bpls[1]}
+    state = gnb_precoder_state(inputs, 0, [0, 1], serving, use_dbf=False)
+    assert state.w_combined.shape == (64, 2)
+    # every composed column is built from the serving beams' codebook
+    # columns, and from no other pair
+    assert _span_residual(book[:, [1, 9]], state.w_combined) < 1e-12
+    assert _span_residual(book[:, [1, 10]], state.w_combined) > 1e-3
+    # each RF column follows its UE: reversing the served order reverses
+    # the precoder's columns
+    swapped = gnb_precoder_state(inputs, 0, [1, 0], serving, use_dbf=False)
+    assert swapped.served == [1, 0]
+    assert np.allclose(swapped.w_combined, state.w_combined[:, ::-1],
+                       atol=1e-12)
+
+
 def test_hbf_precoder_end_to_end():
     bpls = [_bpl(4, 1), _bpl(9, 6)]
     rng = np.random.default_rng(3)
