@@ -700,19 +700,23 @@ class _OracleScorer:
             return self.peak
         return self.shannon * math.log2(1.0 + max(s, self.thresh))
 
+    def _over_budget(self, members: list) -> bool:
+        """Whether the (UE, option) ``members`` one gNB serves put more UEs
+        on a panel than it has RF chains: the oracle's only RF-chain check."""
+        panels = [self.panel_of[i][k] for i, k in members]
+        return max(map(panels.count, panels), default=0) > self.n_rf_sec
+
     def _gnb_bound(self, members: list) -> Optional[float]:
         """Bound on the summed throughput of the (UE, option) ``members``
-        one gNB serves so far; None when a panel is over its RF chains, the
-        oracle's only RF-chain check, or a UE cannot reach its threshold.
+        one gNB serves so far; None when a panel is over its RF chains or a
+        UE cannot reach its threshold.
 
         Interference is never negative and a gNB's load only grows, so a
         member's throughput is at most its ``ceiling`` at the present load.
         """
         n = len(members)
-        if n > self.n_rf_sec:
-            panels = [self.panel_of[i][k] for i, k in members]
-            if max(map(panels.count, panels)) > self.n_rf_sec:
-                return None
+        if n > self.n_rf_sec and self._over_budget(members):
+            return None
         total = 0.0
         for i, k in members:
             ceiling = self.ceiling[i][k][n - 1]
@@ -789,7 +793,7 @@ class _OracleScorer:
 
     def rate(self, choice: tuple) -> Optional[float]:
         """Sum throughput of one complete assignment, None if infeasible;
-        a gNB's members are first checked as the search checks them."""
+        a panel over its RF chains is rejected before anything is built."""
         members = [[] for _ in range(self.inputs.n_gnbs)]
         codes = [0] * self.inputs.n_gnbs
         for i, k in enumerate(choice):
@@ -797,7 +801,7 @@ class _OracleScorer:
             if g >= 0:
                 members[g].append((i, k))
                 codes[g] += self.mark[i][k]
-        if None in map(self._gnb_bound, members):
+        if any(map(self._over_budget, members)):
             return None
         return self._rate(choice, members, codes, -math.inf)
 

@@ -1,5 +1,6 @@
 """Shared builders for constructed allocation scenarios."""
 
+import functools
 import itertools
 import math
 import sys
@@ -72,12 +73,14 @@ def panel_loads(serving: dict, cfg: NetworkConfig) -> Counter:
     return Counter((b.gnb, b.gnb_beam // per_panel) for b in serving.values())
 
 
+@functools.cache
 def one_rf_chain_instance() -> AllocationInputs:
     """configs/tiny.yaml at seed 1, realization 6 (2 gNBs, 4 UEs) with one
     RF chain per panel.  Asserts that the assignment of monitored
     candidates with the highest sum throughput among those that pass ZF
     and the threshold puts two UEs on one panel, so a search that lost its
-    RF-chain check would find another winner."""
+    RF-chain check would find another winner.  Cached: the brute force
+    runs once, and its callers only read the inputs."""
     cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs"
                           / "tiny.yaml"), ["seed=1", "n_rf_gnb_sec=1"])
     inputs = prepare_realization(cfg, 6).inputs
