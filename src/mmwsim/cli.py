@@ -115,9 +115,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             return cmd_simulate(args)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        # the parser admits no command but these two
+        return cmd_oracle_check(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
